@@ -10,7 +10,9 @@ or missing input data, 3 configuration violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -46,8 +48,11 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise VCEvalError(f"{path} is not UTF-8 text") from None
 
 
 def _echo_config(out_dir: str, config: HarnessConfig) -> None:
@@ -93,7 +98,7 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
             )
             manifest_rows.append((tile_id, ref, tile_size))
     _write_text(os.path.join(args.out_dir, "tiles.csv"), write_tile_manifest(manifest_rows))
-    _echo_config(args.out_dir, config)
+    _echo_config(args.out_dir, dataclasses.replace(config, input_size=tile_size))
     print(
         f"tiled {len(images)} image(s) into {len(manifest_rows)} tile(s) "
         f"({tile_size}px, {args.policy}); kept {kept} of {total} annotation(s)"
@@ -295,20 +300,32 @@ def cmd_compare(args: argparse.Namespace, config: HarnessConfig) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
-    import csv
-    import io
-    import math
+def _comparison_lines(path: str) -> list[str]:
+    """Report lines for one comparison JSON as written by `compare`."""
+    content = _read_text(path)
+    try:
+        data = json.loads(content)
+        omnibus = data["omnibus"]
+        lines = [
+            f"comparison {data.get('metric', '?')}: branch={data['branch']} "
+            f"omnibus={omnibus['method']} p={omnibus['p_value']:.6f}"
+        ]
+        for c in data["posthoc"]:
+            mark = "*" if c["significant_at_alpha"] else " "
+            lines.append(
+                f"  {mark} {c['level_a']} vs {c['level_b']}: diff={c['difference']:+.6f} "
+                f"p={c['p_value']:.6f}"
+            )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise VCEvalError(
+            f"{path} is not a comparison file written by compare "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    return lines
 
-    content = _read_text(args.observations)
-    reader = csv.DictReader(io.StringIO(content))
-    if reader.fieldnames is None or not {"metric", "group", "value"} <= set(reader.fieldnames):
-        raise VCEvalError("observation file lacks metric/group/value columns")
-    by_metric: dict[str, dict[str, list[float]]] = {}
-    for row in reader:
-        by_metric.setdefault(row["metric"], {}).setdefault(row["group"], []).append(
-            float(row["value"])
-        )
+
+def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
+    by_metric = statsmod.parse_observations(_read_text(args.observations))
     lines = [f"observation summary ({args.observations})", ""]
     for metric in sorted(by_metric):
         lines.append(f"metric {metric}:")
@@ -319,17 +336,7 @@ def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
             lines.append(f"  group {group}: n={len(vals)} mean={mean:.6f} sd={sd:.6f}")
         lines.append("")
     for path in args.comparisons or []:
-        data = json.loads(_read_text(path))
-        lines.append(
-            f"comparison {data.get('metric', '?')}: branch={data['branch']} "
-            f"omnibus={data['omnibus']['method']} p={data['omnibus']['p_value']:.6f}"
-        )
-        for c in data["posthoc"]:
-            mark = "*" if c["significant_at_alpha"] else " "
-            lines.append(
-                f"  {mark} {c['level_a']} vs {c['level_b']}: diff={c['difference']:+.6f} "
-                f"p={c['p_value']:.6f}"
-            )
+        lines.extend(_comparison_lines(path))
         lines.append("")
     text = "\n".join(lines).rstrip() + "\n"
     if args.out:

@@ -156,13 +156,11 @@ def parse_detection_file(content: str) -> list[Detection]:
             raise ScoreOutOfRange(line_no, score)
         if width <= 0 or height <= 0:
             raise OutOfRange(line_no, "box sides must be > 0")
-        out.append(
-            Detection(
-                box=BoundingBox(x_min, y_min, width, height),
-                class_id=class_id,
-                score=score,
-            )
-        )
+        try:
+            box = BoundingBox(x_min, y_min, width, height)
+        except ValueError as exc:  # a non-finite coordinate
+            raise OutOfRange(line_no, str(exc)) from None
+        out.append(Detection(box=box, class_id=class_id, score=score))
     return out
 
 

@@ -19,6 +19,7 @@ from . import distributions as dist
 from .errors import (
     AllValuesEqual,
     EmptyDataset,
+    FormatError,
     MalformedLine,
     TooFewSamples,
     TooManySamples,
@@ -433,14 +434,23 @@ def compare_pipeline(
     )
 
 
-def load_observation_table(content: str, metric: str) -> ObservationTable:
-    """Build a table for one metric from observation CSV rows.
+def parse_observations(
+    content: str, metric: Optional[str] = None
+) -> dict[str, dict[str, list[float]]]:
+    """Observation CSV rows as metric -> group -> values.
 
     Requires columns metric, group, value (extra columns such as run_id are
-    ignored); group order follows first appearance in the file.
+    ignored); metrics and groups keep the order of first appearance. Values
+    must be finite numbers. With `metric`, rows of other metrics are skipped
+    without being parsed.
     """
-    reader = csv.reader(io.StringIO(content))
-    rows = [row for row in reader if row and any(f.strip() for f in row)]
+    try:
+        rows = [
+            row for row in csv.reader(io.StringIO(content))
+            if row and any(f.strip() for f in row)
+        ]
+    except csv.Error as exc:
+        raise FormatError(f"observation file is not readable CSV: {exc}") from None
     if not rows:
         raise EmptyDataset("observation file has no rows")
     header = [f.strip() for f in rows[0]]
@@ -450,25 +460,31 @@ def load_observation_table(content: str, metric: str) -> ObservationTable:
         v_col = header.index("value")
     except ValueError:
         raise MalformedLine(1, f"header {header} lacks metric/group/value") from None
-    order: list[str] = []
-    by_group: dict[str, list[float]] = {}
+    by_metric: dict[str, dict[str, list[float]]] = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise MalformedLine(line_no, f"expected {len(header)} fields, got {len(row)}")
-        if row[m_col].strip() != metric:
+        name = row[m_col].strip()
+        if metric is not None and name != metric:
             continue
-        group = row[g_col].strip()
         try:
             value = float(row[v_col])
         except ValueError:
             raise MalformedLine(line_no, f"bad value {row[v_col]!r}") from None
-        if group not in by_group:
-            order.append(group)
-            by_group[group] = []
-        by_group[group].append(value)
-    if not order:
+        if not math.isfinite(value):
+            raise MalformedLine(line_no, f"non-finite value {row[v_col]!r}")
+        by_metric.setdefault(name, {}).setdefault(row[g_col].strip(), []).append(value)
+    return by_metric
+
+
+def load_observation_table(content: str, metric: str) -> ObservationTable:
+    """Build a table for one metric from observation CSV rows (see
+    `parse_observations`); group order follows first appearance in the file.
+    """
+    groups = parse_observations(content, metric).get(metric)
+    if not groups:
         raise EmptyDataset(f"no observations for metric {metric!r}")
-    return ObservationTable(groups=tuple((g, tuple(by_group[g])) for g in order))
+    return ObservationTable(groups=tuple((g, tuple(v)) for g, v in groups.items()))
 
 
 def report_to_dict(report: ComparisonReport) -> dict:

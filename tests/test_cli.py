@@ -126,6 +126,40 @@ class TestTile:
         assert rc == 2
 
 
+    def test_config_echo_records_tile_size_that_ran(self, tmp_path):
+        (tmp_path / "labels").mkdir()
+        make_manifest(tmp_path / "images.csv", [("img", 640, 640)])
+        out = tmp_path / "out"
+        rc = cli.main(
+            [
+                "tile",
+                "--manifest", str(tmp_path / "images.csv"),
+                "--labels-dir", str(tmp_path / "labels"),
+                "--out-dir", str(out),
+                "--tile-size", "320",
+            ]
+        )
+        assert rc == 0
+        assert json.loads((out / "config_used.json").read_text())["input_size"] == 320
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_label_field_is_data_error(self, tmp_path, capsys, field):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        make_manifest(tmp_path / "images.csv", [("img", 640, 640)])
+        labels.joinpath("img.txt").write_text(f"0 0.5 0.5 0.1 0.1\n0 0.5 {field} 0.1 0.1\n")
+        rc = cli.main(
+            [
+                "tile",
+                "--manifest", str(tmp_path / "images.csv"),
+                "--labels-dir", str(labels),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestSplit:
     def test_split_files(self, tmp_path):
         make_manifest(tmp_path / "images.csv", [(f"i{k}", 640, 640) for k in range(10)])
@@ -408,6 +442,28 @@ class TestEval:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("column", range(2, 6))
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_detection_field_is_data_error(self, tmp_path, capsys, column, field):
+        labels, dets = self.setup_run(tmp_path)
+        parts = det_line(0, 0.5, 10.0, 10.0, 20.0, 20.0).split()
+        parts[column] = field
+        dets.joinpath("t1.det.txt").write_text(
+            det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6) + " ".join(parts) + "\n"
+        )
+        rc = cli.main(
+            [
+                "eval",
+                "--detections-dir", str(dets),
+                "--labels-dir", str(labels),
+                "--out-dir", str(tmp_path / "eval"),
+                "--run-id", "r1",
+            ]
+        )
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 def write_observations(path, per_group, metric="map30"):
     lines = ["run_id,metric,group,value"]
     for group, values in per_group.items():
@@ -461,6 +517,16 @@ class TestCompare:
         assert payload["alpha"] == 0.01
 
 
+    def test_non_finite_observation_is_data_error(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        write_observations(obs, {**self.GROUPS, "608": [0.5, float("nan")]})
+        rc = cli.main(
+            ["compare", "--observations", str(obs), "--metric", "map30",
+             "--out-dir", str(tmp_path / "cmp")]
+        )
+        assert rc == 2
+
+
 class TestReport:
     def test_stdout_summary(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -488,6 +554,43 @@ class TestReport:
         text = report_path.read_text()
         assert "comparison map30" in text
         assert "512 vs 320" in text
+
+
+    def test_non_numeric_value_is_data_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("run_id,metric,group,value\nr1,map30,320,0.5\nr2,map30,320,abc\n")
+        rc = cli.main(["report", "--observations", str(obs)])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_observations_not_utf8_is_data_error(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(b"run_id,metric,group,value\nr1,map30,\xff\xfe,0.5\n")
+        assert cli.main(["report", "--observations", str(obs)]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            "[]",
+            json.dumps({"branch": "parametric", "omnibus": {"method": "x", "p_value": 0.1}}),
+            json.dumps({"branch": "parametric", "posthoc": []}),
+            json.dumps({"omnibus": {"method": "x", "p_value": 0.1}, "posthoc": []}),
+            json.dumps({"branch": "b", "omnibus": {"method": "x", "p_value": "low"}, "posthoc": []}),
+            json.dumps({"branch": "b", "omnibus": {"method": "x", "p_value": 0.1},
+                        "posthoc": [{"level_a": "320"}]}),
+        ],
+        ids=["bad-json", "not-object", "no-posthoc", "no-omnibus", "no-branch",
+             "non-numeric-p", "short-row"],
+    )
+    def test_malformed_comparison_is_data_error(self, tmp_path, capsys, content):
+        obs = tmp_path / "obs.csv"
+        write_observations(obs, {"320": [0.5, 0.7], "416": [0.8, 0.9]})
+        bad = tmp_path / "comparison_map30.json"
+        bad.write_text(content)
+        rc = cli.main(["report", "--observations", str(obs), "--comparisons", str(bad)])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestConfigPlumbing:

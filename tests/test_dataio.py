@@ -66,6 +66,15 @@ class TestLabelFormat:
         with pytest.raises(OutOfRange):
             parse_label_file("0 0.5 -0.1 0.2 0.2\n", 100, 100)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_its_line(self, field):
+        for column in range(1, 5):
+            parts = ["0", "0.5", "0.5", "0.1", "0.1"]
+            parts[column] = field
+            with pytest.raises((MalformedLine, OutOfRange)) as err:
+                parse_label_file("0 0.5 0.5 0.1 0.1\n" + " ".join(parts) + "\n", 320, 320)
+            assert err.value.line_no == 2
+
     def test_zero_size_rejected(self):
         with pytest.raises(OutOfRange):
             parse_label_file("0 0.5 0.5 0 0.2\n", 100, 100)
@@ -117,6 +126,15 @@ class TestDetectionFormat:
     def test_field_count(self):
         with pytest.raises(MalformedLine):
             parse_detection_file("0 0.5 1 1 5\n")
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_box_field_names_its_line(self, field):
+        for column in range(2, 6):
+            parts = ["0", "0.5", "1", "1", "5", "5"]
+            parts[column] = field
+            with pytest.raises((MalformedLine, OutOfRange)) as err:
+                parse_detection_file("0 0.5 1 1 5 5\n" + " ".join(parts) + "\n")
+            assert err.value.line_no == 2
 
     def test_round_trip_random(self):
         rng = random.Random(77)

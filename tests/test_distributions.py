@@ -13,7 +13,9 @@ import scipy.stats as sps
 from scipy.special import betainc as sp_betainc
 from scipy.special import gammainc as sp_gammainc
 
+from vceval import distributions
 from vceval.distributions import (
+    _erfc,
     betainc,
     chi2_sf,
     f_sf,
@@ -137,3 +139,76 @@ class TestStudentizedRange:
     def test_degenerate_q(self):
         assert studentized_range_cdf(0.0, 3, 12.0) == 0.0
         assert studentized_range_sf(0.0, 3, 12.0) == 1.0
+
+
+class TestErfcPort:
+    """The vectorised Cody erfc behind the studentized-range integrand must
+    match the scalar math.erfc wherever erfc is a normal number."""
+
+    EDGES = (0.46875, 4.0, 26.543)
+
+    def test_against_math_erfc(self):
+        edges = np.array(self.EDGES)
+        edges = np.concatenate([edges, -edges])
+        x = np.concatenate(
+            [np.linspace(-27.0, 27.0, 540_001), edges,
+             np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+        )
+        want = np.array([math.erfc(v) for v in x])
+        got = _erfc(x)
+        live = want > 1e-300
+        assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 2e-15
+        assert np.all(got[~live] <= 1e-300)
+
+    def test_matrix_shape_and_special_values(self):
+        got = _erfc(np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, -30.0]]))
+        assert got.shape == (2, 3)
+        assert got[0].tolist() == [1.0, 1.0, 0.0]
+        assert got[1, 0] == 2.0 and math.isnan(got[1, 1]) and got[1, 2] == 2.0
+
+
+class TestStudentizedRangeCrit:
+    """Critical values against scipy, over a grid that takes the bracket
+    doubling (q > 4 at small df or alpha) and the df > 1e5 limit path."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.001])
+    @pytest.mark.parametrize("df", [2.0, 5.0, 12.0, 60.0, 2e5])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_crit_against_scipy(self, k, df, alpha):
+        q = studentized_range_crit(alpha, k, df)
+        assert sps.studentized_range.sf(q, k, df) == pytest.approx(alpha, abs=1e-8)
+        assert q == pytest.approx(sps.studentized_range.ppf(1.0 - alpha, k, df), abs=1e-6)
+
+    def test_cold_crit_needs_few_sf_evaluations(self, monkeypatch):
+        calls = []
+
+        def counting_sf(q, k, df):
+            calls.append(q)
+            return studentized_range_sf(q, k, df)
+
+        monkeypatch.setattr(distributions, "studentized_range_sf", counting_sf)
+        q = studentized_range_crit.__wrapped__(0.05, 3, 12.0)  # bypass the cache
+        assert 0 < len(calls) <= 20
+        assert studentized_range_sf(q, 3, 12.0) == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("df", [1e3, 9e4])
+    def test_cdf_at_large_df_against_scipy(self, df):
+        # at q = 40, 18 / q lies below where the scale density starts
+        for k in (3, 10):
+            for q in (2.0, 3.5, 5.0, 40.0):
+                want = sps.studentized_range.cdf(q, k, df)
+                assert studentized_range_cdf(q, k, df) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("k,df", [(10, 2.0), (3, 12.0)])
+    def test_sf_continuous_where_the_scale_grid_is_cut(self, k, df):
+        # the scale grid ends at min(u_hi, 18 / q); both bounds meet here
+        q_switch = 18.0 / (1.0 + 14.0 / math.sqrt(2.0 * df))
+        below, at, above = (
+            studentized_range_sf(q_switch * (1.0 + h), k, df) for h in (-1e-9, 0.0, 1e-9)
+        )
+        # a jump would show as unequal steps on the two sides
+        assert below > at > above
+        assert abs((below - at) - (at - above)) < 1e-13
+        qs = np.geomspace(0.5, 150.0, 60)
+        values = [studentized_range_sf(q, k, df) for q in qs]
+        assert all(a >= b for a, b in zip(values, values[1:]))

@@ -9,6 +9,7 @@ import scipy.stats as sps
 from vceval.errors import (
     AllValuesEqual,
     EmptyDataset,
+    FormatError,
     MalformedLine,
     TooFewSamples,
     TooManySamples,
@@ -25,6 +26,7 @@ from vceval.stats import (
     kruskal_wallis,
     load_observation_table,
     one_way_anova,
+    parse_observations,
     report_to_dict,
     shapiro_wilk,
     tukey_hsd,
@@ -437,6 +439,29 @@ class TestObservationCsv:
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             load_observation_table("", "m")
+
+
+    def test_parse_all_metrics(self):
+        by_metric = parse_observations(self.CSV)
+        assert list(by_metric) == ["map30", "f1max"]
+        assert list(by_metric["map30"]) == ["320", "416", "512"]
+        assert by_metric["f1max"] == {"320": [0.70]}
+
+    def test_filter_skips_other_metrics_unparsed(self):
+        text = "metric,group,value\nm,a,1\nm,a,2\nother,a,oops\nm,b,3\nm,b,4\n"
+        assert parse_observations(text, "m") == {"m": {"a": [1.0, 2.0], "b": [3.0, 4.0]}}
+        with pytest.raises(MalformedLine) as err:
+            parse_observations(text)
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, value):
+        with pytest.raises(MalformedLine):
+            load_observation_table(f"metric,group,value\nm,a,1\nm,a,{value}\nm,b,1\nm,b,2\n", "m")
+
+    def test_unreadable_csv(self):
+        with pytest.raises(FormatError):
+            parse_observations('metric,group,value\nm,a,"' + "x" * 200_000 + '"\n')
 
 
 class TestPosthocCsv:
