@@ -74,6 +74,5 @@ from .tiler import (
     remap_to_tile,
     tile_to_global,
 )
-from ._kernels import backend_name
 
 __all__ = [name for name in dir() if not name.startswith("_")]

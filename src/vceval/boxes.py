@@ -103,7 +103,7 @@ def clip_to(box: BoundingBox, extent_w: float, extent_h: float) -> Optional[Boun
 
 
 def boxes_to_xyxy(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """(N, 4) float64 corner array for the kernel backends."""
+    """(N, 4) float64 corner array for the kernels."""
     out = np.empty((len(boxes), 4), dtype=np.float64)
     for i, b in enumerate(boxes):
         out[i, 0] = b.x_min
@@ -136,5 +136,5 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     classes = np.array([d.class_id for d in dets], dtype=np.int64)
     # primary key: descending score; secondary: original index
     order = np.lexsort((np.arange(len(dets)), -scores)).astype(np.int64)
-    keep = _kernels.nms_keep(xyxy, scores, classes, order, float(iou_threshold))
+    keep = _kernels.nms_keep(xyxy, classes, order, float(iou_threshold))
     return [dets[i] for i in keep]

@@ -31,7 +31,7 @@ from .dataio import (
     write_detection_file,
     write_label_file,
 )
-from .errors import ConfigError, ShapeMismatch, VCEvalError
+from .errors import ConfigError, FormatError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from .netops import AnchorBox, decode_head, grid_shape
 from .tiler import make_tile_id, plan_tiles, remap_to_tile, write_tile_manifest
@@ -55,6 +55,14 @@ def _read_text(path: str) -> str:
         raise VCEvalError(f"{path} is not UTF-8 text") from None
 
 
+def _parse_file(path: str, parse):
+    """parse(text of path), with the path named in a format error."""
+    try:
+        return parse(_read_text(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _echo_config(out_dir: str, config: HarnessConfig) -> None:
     _write_text(
         os.path.join(out_dir, "config_used.json"),
@@ -72,7 +80,7 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
     tile_size = args.tile_size if args.tile_size is not None else config.input_size
     if tile_size <= 0 or tile_size % 32 != 0:
         raise ConfigError(f"tile size {tile_size} is not a positive multiple of 32")
-    images = read_image_manifest(_read_text(args.manifest))
+    images = _parse_file(args.manifest, read_image_manifest)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_rows = []
     kept = total = 0
@@ -116,7 +124,7 @@ def _manifest_ids(content: str) -> list[str]:
 
 
 def cmd_split(args: argparse.Namespace, config: HarnessConfig) -> int:
-    ids = _manifest_ids(_read_text(args.manifest))
+    ids = _parse_file(args.manifest, _manifest_ids)
     seed = args.seed if args.seed is not None else config.seed
     if args.ratio_train <= 0 or args.ratio_test <= 0:
         raise ConfigError("split ratios must be positive")
@@ -159,7 +167,11 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
             if not os.path.exists(path):
                 raise VCEvalError(f"{stem}: missing scale file {stem + suffix}")
             with open(path, "rb") as fh:
-                tensor = read_tensor(fh.read())
+                data = fh.read()
+            try:
+                tensor = read_tensor(data)
+            except FormatError as exc:
+                raise FormatError(f"{stem + suffix}: {exc}") from None
             side = grids[scale_idx]
             if tensor.height != side or tensor.width != side:
                 raise ShapeMismatch(

@@ -29,10 +29,12 @@ from .errors import (
     BadMagic,
     EmptyDataset,
     MalformedLine,
+    NonFinitePayload,
     OutOfRange,
     ScoreOutOfRange,
     ShapeOverflow,
     TruncatedPayload,
+    UnreadableCSV,
 )
 from .netops import RawHeadTensor
 
@@ -205,7 +207,10 @@ def read_tensor(data: bytes) -> RawHeadTensor:
             f"payload carries {len(payload)} bytes, header declares {expected}"
         )
     values = np.frombuffer(payload[:expected], dtype="<f4").reshape(c, h, w)
-    return RawHeadTensor(values=values.astype(np.float64))
+    try:
+        return RawHeadTensor(values=values.astype(np.float64))
+    except ValueError as exc:  # the only ValueError: non-finite values
+        raise NonFinitePayload(str(exc)) from None
 
 
 def split_dataset(
@@ -236,8 +241,13 @@ def split_dataset(
 def read_image_manifest(content: str) -> list[AnnotatedImage]:
     """CSV of image_id,width,height (header required); ground truths are
     attached separately from label files."""
-    reader = csv.reader(io.StringIO(content))
-    rows = [row for row in reader if row and any(f.strip() for f in row)]
+    try:
+        rows = [
+            row for row in csv.reader(io.StringIO(content))
+            if row and any(f.strip() for f in row)
+        ]
+    except csv.Error as exc:
+        raise UnreadableCSV(f"image manifest is not readable CSV: {exc}") from None
     if not rows:
         raise EmptyDataset("manifest has no rows")
     header = [f.strip() for f in rows[0]]

@@ -48,6 +48,14 @@ class ShapeOverflow(FormatError):
     pass
 
 
+class UnreadableCSV(FormatError):
+    """The csv module cannot split the text, e.g. a field over its size limit."""
+
+
+class NonFinitePayload(FormatError):
+    """A tensor payload holds a NaN or an infinity."""
+
+
 # --- geometry / tensor shape errors --------------------------------------
 
 class ShapeMismatch(VCEvalError):

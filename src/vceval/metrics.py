@@ -158,6 +158,13 @@ def pr_curve(flags: Sequence[DetectionFlag], total_gt: int) -> PRCurve:
     class_ids = {f.class_id for f in flags}
     if len(class_ids) > 1:
         raise ValueError(f"flags mix classes {sorted(class_ids)}")
+    class_id = class_ids.pop() if class_ids else -1
+    return PRCurve(class_id=class_id, points=_sweep(flags, total_gt))
+
+
+def _sweep(flags: Sequence[DetectionFlag], total_gt: int) -> tuple[PRPoint, ...]:
+    """The anchor point, then one cumulative point per flag in rank order
+    (descending score, then image id, then index)."""
     ordered = sorted(flags, key=lambda f: (-f.score, f.image_id, f.index))
     points = [PRPoint(recall=0.0, precision=1.0, score_threshold=1.0)]
     cum_tp = cum_fp = 0
@@ -171,8 +178,7 @@ def pr_curve(flags: Sequence[DetectionFlag], total_gt: int) -> PRCurve:
                 score_threshold=flag.score,
             )
         )
-    class_id = class_ids.pop() if class_ids else -1
-    return PRCurve(class_id=class_id, points=tuple(points))
+    return tuple(points)
 
 
 def average_precision(curve: PRCurve) -> float:
@@ -263,21 +269,7 @@ def evaluate(
         per_class_ap[class_id] = average_precision(curve)
     mean_ap = mean_average_precision(per_class_ap) if per_class_ap else 0.0
     if total_gt > 0:
-        pooled = sorted(flags, key=lambda f: (-f.score, f.image_id, f.index))
-        points = [PRPoint(recall=0.0, precision=1.0, score_threshold=1.0)]
-        cum_tp = cum_fp = 0
-        for flag in pooled:
-            cum_tp += flag.is_tp
-            cum_fp += not flag.is_tp
-            points.append(
-                PRPoint(
-                    recall=cum_tp / total_gt,
-                    precision=cum_tp / (cum_tp + cum_fp),
-                    score_threshold=flag.score,
-                )
-            )
-        pooled_curve = PRCurve(class_id=-1, points=tuple(points))
-        best_f1, best_t = f1_max(pooled_curve)
+        best_f1, best_t = f1_max(PRCurve(class_id=-1, points=_sweep(flags, total_gt)))
     else:
         best_f1, best_t = 0.0, 1.0
     return MetricReport(

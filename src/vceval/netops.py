@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import sigmoid
 from .boxes import BoundingBox, Detection, GroundTruthBox
 from .errors import EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
 
@@ -27,19 +28,6 @@ DEFAULT_ANCHORS: tuple[tuple[float, float], ...] = (
     (30.0, 61.0), (62.0, 45.0), (59.0, 119.0),
     (116.0, 90.0), (156.0, 198.0), (373.0, 326.0),
 )
-
-
-def sigmoid(x):
-    """Logistic function 1/(1+e^(-x)); accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def relu(x):

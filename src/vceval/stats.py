@@ -19,10 +19,10 @@ from . import distributions as dist
 from .errors import (
     AllValuesEqual,
     EmptyDataset,
-    FormatError,
     MalformedLine,
     TooFewSamples,
     TooManySamples,
+    UnreadableCSV,
     ZeroVariance,
     ZeroWithinVariance,
 )
@@ -450,7 +450,7 @@ def parse_observations(
             if row and any(f.strip() for f in row)
         ]
     except csv.Error as exc:
-        raise FormatError(f"observation file is not readable CSV: {exc}") from None
+        raise UnreadableCSV(f"observation file is not readable CSV: {exc}") from None
     if not rows:
         raise EmptyDataset("observation file has no rows")
     header = [f.strip() for f in rows[0]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boxes import BoundingBox, GroundTruthBox, clip_to
-from .errors import MalformedLine, NotMultipleOf32, TileLargerThanImage
+from .errors import MalformedLine, NotMultipleOf32, TileLargerThanImage, UnreadableCSV
 
 PAD_EDGE = "pad-edge"
 DROP_PARTIAL = "drop-partial"
@@ -146,8 +146,13 @@ def write_tile_manifest(entries: Sequence[tuple[str, TileRef, int]]) -> str:
 
 
 def read_tile_manifest(content: str) -> list[tuple[str, TileRef, int]]:
-    reader = csv.reader(io.StringIO(content))
-    rows = [row for row in reader if row and any(f.strip() for f in row)]
+    try:
+        rows = [
+            row for row in csv.reader(io.StringIO(content))
+            if row and any(f.strip() for f in row)
+        ]
+    except csv.Error as exc:
+        raise UnreadableCSV(f"tile manifest is not readable CSV: {exc}") from None
     if not rows:
         return []
     expected = ["tile_id", "row", "col", "origin_x", "origin_y", "tile_size"]

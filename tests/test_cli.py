@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestTile:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_over_long_manifest_field_is_data_error(self, tmp_path, capsys):
+        # 200k characters, over the csv module's default field limit
+        make_manifest(tmp_path / "images.csv", [("x" * 200_000, 640, 640)])
+        rc = cli.main(
+            [
+                "tile",
+                "--manifest", str(tmp_path / "images.csv"),
+                "--labels-dir", str(tmp_path),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "images.csv" in capsys.readouterr().err
+
 
 class TestSplit:
     def test_split_files(self, tmp_path):
@@ -213,6 +228,16 @@ class TestSplit:
             (out / "test.txt").read_text().split()
         )
         assert ids == {"a_r0_c0", "a_r0_c1", "a_r1_c0"}
+
+    def test_over_long_tile_manifest_field_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "tiles.csv").write_text(
+            "tile_id,row,col,origin_x,origin_y,tile_size\n" + "x" * 200_000 + ",0,0,0,0,416\n"
+        )
+        rc = cli.main(
+            ["split", "--manifest", str(tmp_path / "tiles.csv"), "--out-dir", str(tmp_path / "s")]
+        )
+        assert rc == 2
+        assert "tiles.csv" in capsys.readouterr().err
 
 
 def write_scale_tensors(tensors_dir, stem, hot=None, num_classes=2, input_size=416):
@@ -318,6 +343,17 @@ class TestDecode:
             ]
         )
         assert (out / "tile_g.det.txt").read_text() == ""
+
+    def test_nan_logit_is_data_error(self, tmp_path, capsys):
+        write_scale_tensors(tmp_path / "t", "tile_h")
+        path = tmp_path / "t" / "tile_h.s1.vct"
+        # the payload's last float32 is a class logit
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", math.nan))
+        rc = cli.main(
+            ["decode", "--tensors-dir", str(tmp_path / "t"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert "tile_h.s1.vct" in capsys.readouterr().err
 
 
 def label_line(cls, cx, cy, w, h):
