@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import math
 import os
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 from . import __version__
@@ -34,17 +36,36 @@ from .dataio import (
 from .errors import ConfigError, FormatError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from .netops import AnchorBox, decode_head, grid_shape
-from .tiler import make_tile_id, plan_tiles, remap_to_tile, write_tile_manifest
+from .tiler import (
+    make_tile_id,
+    plan_tiles,
+    read_tile_manifest,
+    remap_to_tile,
+    write_tile_manifest,
+)
 
 SCALE_SUFFIXES = (".s0.vct", ".s1.vct", ".s2.vct")
 OBSERVATION_HEADER = "run_id,metric,group,value"
 
 
 def _write_text(path: str, content: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    """Write through a temp file of its own in the target directory, then
+    rename it over ``path``; the file gets the usual umask-based mode."""
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _read_text(path: str) -> str:
@@ -117,8 +138,6 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
 def _manifest_ids(content: str) -> list[str]:
     first = content.splitlines()[0].strip() if content.strip() else ""
     if first.startswith("tile_id"):
-        from .tiler import read_tile_manifest
-
         return [tile_id for tile_id, _, _ in read_tile_manifest(content)]
     return [img.image_id for img in read_image_manifest(content)]
 
@@ -226,28 +245,53 @@ def _paired_stems(detections_dir: str, labels_dir: str) -> list[str]:
 
 
 def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> None:
-    existing = ""
-    if os.path.exists(path):
-        existing = _read_text(path)
-        if existing and not existing.startswith(OBSERVATION_HEADER):
-            raise VCEvalError(f"{path} does not look like an observation file")
-    lines = existing if existing else OBSERVATION_HEADER + "\n"
-    for run_id, metric, group, value in rows:
-        lines += f"{run_id},{metric},{group},{value:.6f}\n"
-    _write_text(path, lines)
+    """Append rows under an exclusive flock on the observation file, so
+    concurrent writers neither lose rows nor write the header twice."""
+    while True:
+        with open(path, "a", encoding="utf-8") as locked:  # creates, never truncates
+            fcntl.flock(locked, fcntl.LOCK_EX)
+            # a writer that held the lock may have renamed a new file over
+            # the one locked here; lock that one instead
+            if not os.path.samestat(os.fstat(locked.fileno()), os.stat(path)):
+                continue
+            existing = _read_text(path)
+            if existing and not existing.startswith(OBSERVATION_HEADER):
+                raise VCEvalError(f"{path} does not look like an observation file")
+            lines = existing if existing else OBSERVATION_HEADER + "\n"
+            for run_id, metric, group, value in rows:
+                lines += f"{run_id},{metric},{group},{value:.6f}\n"
+            _write_text(path, lines)
+            return
+
+
+def _check_tile_size(labels_dir: str, input_size: int) -> None:
+    """Refuse labels that a tile manifest says were cut at another size:
+    eval scales them by the input size."""
+    manifest = os.path.join(labels_dir, "tiles.csv")
+    if not os.path.exists(manifest):
+        return
+    sizes = sorted({size for _, _, size in _parse_file(manifest, read_tile_manifest)})
+    if sizes and sizes != [input_size]:
+        hint = f"; pass --input-size {sizes[0]}" if len(sizes) == 1 else ""
+        raise ConfigError(
+            f"{manifest} records tile size {', '.join(map(str, sizes))} but eval "
+            f"runs at input size {input_size}{hint}"
+        )
 
 
 def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
     stems = _paired_stems(args.detections_dir, args.labels_dir)
+    _check_tile_size(args.labels_dir, config.input_size)
     dets_by_image = {}
     gts_by_image = {}
     extent = config.input_size
     for stem in stems:
-        dets_by_image[stem] = parse_detection_file(
-            _read_text(os.path.join(args.detections_dir, stem + ".det.txt"))
+        dets_by_image[stem] = _parse_file(
+            os.path.join(args.detections_dir, stem + ".det.txt"), parse_detection_file
         )
-        gts_by_image[stem] = parse_label_file(
-            _read_text(os.path.join(args.labels_dir, stem + ".txt")), extent, extent
+        gts_by_image[stem] = _parse_file(
+            os.path.join(args.labels_dir, stem + ".txt"),
+            lambda text: parse_label_file(text, extent, extent),
         )
     report = evaluate(dets_by_image, gts_by_image, config.eval_iou_threshold)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import operator
 import random
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -43,6 +47,7 @@ _TENSOR_HEADER = struct.Struct("<4sIII")
 # sanity ceiling on declared element counts; anything larger cannot be a
 # real head tensor and would make the reader attempt a multi-GiB allocation
 MAX_TENSOR_ELEMENTS = 2**31
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -141,29 +146,145 @@ def write_label_file(
     return "".join(line + "\n" for line in lines)
 
 
-def parse_detection_file(content: str) -> list[Detection]:
-    out: list[Detection] = []
-    for line_no, line in _lines(content):
-        parts = line.split()
-        if len(parts) != 6:
-            raise MalformedLine(line_no, f"expected 6 fields, got {len(parts)}")
-        try:
-            class_id = int(parts[0])
-            score, x_min, y_min, width, height = (float(p) for p in parts[1:])
-        except ValueError:
-            raise MalformedLine(line_no, "non-numeric field") from None
-        if class_id < 0:
-            raise MalformedLine(line_no, f"negative class id {class_id}")
-        if not 0.0 <= score <= 1.0:
-            raise ScoreOutOfRange(line_no, score)
-        if width <= 0 or height <= 0:
-            raise OutOfRange(line_no, "box sides must be > 0")
-        try:
-            box = BoundingBox(x_min, y_min, width, height)
-        except ValueError as exc:  # a non-finite coordinate
-            raise OutOfRange(line_no, str(exc)) from None
-        out.append(Detection(box=box, class_id=class_id, score=score))
-    return out
+class RecordArrays(Sequence):
+    """A read-only sequence of records kept as parallel numpy columns.
+
+    Code that wants arrays reads the columns; code that wants objects
+    indexes or iterates, and each record is built on access by
+    ``_record(i)``. ``==`` compares record by record with any sequence, as
+    a list or tuple of the same records would. The first name in a
+    subclass's ``__slots__`` is a column as long as the sequence.
+    """
+
+    __slots__ = ()
+
+    def _record(self, i: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._record(k) for k in range(*i.indices(n))]
+        k = operator.index(i)
+        if not -n <= k < n:
+            raise IndexError(f"index {i} out of range for {n} records")
+        return self._record(k % n)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class DetectionArrays(RecordArrays):
+    """Detections as columns: ``score`` (N,) float64, ``class_id`` (N,)
+    int64, ``xywh`` (N, 4) float64 rows (x_min, y_min, width, height) and
+    the corners ``xyxy`` (N, 4) derived from them, (x_min, y_min,
+    x_min + width, y_min + height) as in BoundingBox. Reads as a sequence
+    of Detection."""
+
+    __slots__ = ("score", "class_id", "xywh", "xyxy")
+
+    def __init__(self, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray):
+        self.score = score
+        self.class_id = class_id
+        self.xywh = xywh
+        self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+
+    @classmethod
+    def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
+        """``dets`` itself when it is a DetectionArrays, else its columns."""
+        if isinstance(dets, DetectionArrays):
+            return dets
+        return cls(
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([d.class_id for d in dets], dtype=np.int64),
+            np.array(
+                [(d.box.x_min, d.box.y_min, d.box.width, d.box.height) for d in dets],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+        )
+
+    def _record(self, i: int) -> Detection:
+        return Detection(
+            box=BoundingBox(*self.xywh[i].tolist()),
+            class_id=int(self.class_id[i]),
+            score=float(self.score[i]),
+        )
+
+
+def _check_detection_line(line_no: int, parts: list[str]) -> None:
+    """Raise the error of one split detection line, if it has one. The
+    checks run in this order, so a line reports the first that fails."""
+    if len(parts) != 6:
+        raise MalformedLine(line_no, f"expected 6 fields, got {len(parts)}")
+    try:
+        class_id = int(parts[0])
+        score, *box = (float(p) for p in parts[1:])
+    except ValueError:
+        raise MalformedLine(line_no, "non-numeric field") from None
+    if class_id < 0:
+        raise MalformedLine(line_no, f"negative class id {class_id}")
+    if class_id > _INT64_MAX:
+        raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
+    if not 0.0 <= score <= 1.0:
+        raise ScoreOutOfRange(line_no, score)
+    if box[2] <= 0 or box[3] <= 0:
+        raise OutOfRange(line_no, "box sides must be > 0")
+    for name, v in zip(("x_min", "y_min", "width", "height"), box):
+        if not math.isfinite(v):
+            raise OutOfRange(line_no, f"{name} must be finite")
+
+
+def parse_detection_file(content: str) -> DetectionArrays:
+    """Parse ``class_id score x_min y_min width height`` lines.
+
+    The lines are split once and every field is converted once; the checks
+    of _check_detection_line then run over all lines as array operations.
+    A file that fails any of them raises the error of its first bad line.
+    """
+    parts = list(map(str.split, content.splitlines()))
+    rows = list(filter(None, parts))
+    if "#" in content:
+        rows = [p for p in rows if not p[0].startswith("#")]
+    first_bad = 0
+    try:
+        if rows and set(map(len, rows)) != {6}:
+            raise ValueError("field count")
+        fields = list(chain.from_iterable(rows))
+        class_id = np.array(list(map(int, fields[0::6])), dtype=np.int64)
+        del fields[0::6]
+        values = np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, 5)
+    except (ValueError, OverflowError):
+        pass  # a field count, a field or a class id is bad; the scan below finds it
+    else:
+        score, xywh = values[:, 0], values[:, 1:]
+        ok = (
+            (class_id >= 0)
+            & (score >= 0.0)
+            & (score <= 1.0)
+            & (xywh[:, 2:] > 0.0).all(axis=1)
+            & np.isfinite(xywh).all(axis=1)
+        )
+        if ok.all():
+            return DetectionArrays(score.copy(), class_id, xywh.copy())
+        first_bad = int(np.argmin(ok))
+    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
+    for k in range(first_bad, len(rows)):
+        _check_detection_line(line_nos[k], rows[k])
+    raise AssertionError("the vectorised detection checks disagree with the per-line ones")
 
 
 def write_detection_file(dets: Sequence[Detection]) -> str:

@@ -4,6 +4,11 @@ Matching is greedy one-to-one per class in descending score order; the PR
 curve is anchored at (recall 0, precision 1) and integrated with all-point
 interpolation. The evaluation IoU threshold is a parameter everywhere and
 defaults to 0.30 at the configuration layer, not here.
+
+Detections, match flags and curve points travel as columns
+(DetectionArrays, FlagArrays, PointArrays), which also read as sequences
+of Detection, DetectionFlag and PRPoint; the functions accept either form
+and build an object only when one is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .boxes import Detection, GroundTruthBox, boxes_to_xyxy
 from . import _kernels
+from .dataio import DetectionArrays, RecordArrays
 from .errors import EmptyClassSet, NoGroundTruth
 
 
@@ -49,24 +55,99 @@ class PRPoint:
     score_threshold: float
 
 
+class FlagArrays(RecordArrays):
+    """Match outcomes as columns, one entry per detection: ``image`` (an
+    index into ``image_ids``, which is sorted), ``index`` (the detection's
+    position in its image), ``class_id``, ``score`` and ``is_tp``. Reads as
+    a sequence of DetectionFlag."""
+
+    __slots__ = ("image", "index", "class_id", "score", "is_tp", "image_ids")
+
+    def __init__(self, image_ids, image, index, class_id, score, is_tp):
+        self.image_ids = image_ids
+        self.image = image
+        self.index = index
+        self.class_id = class_id
+        self.score = score
+        self.is_tp = is_tp
+
+    @classmethod
+    def of(cls, flags: Sequence[DetectionFlag]) -> "FlagArrays":
+        """``flags`` itself when it is a FlagArrays, else its columns."""
+        if isinstance(flags, FlagArrays):
+            return flags
+        image_ids = sorted({f.image_id for f in flags})
+        rank = {image_id: k for k, image_id in enumerate(image_ids)}
+        return cls(
+            image_ids,
+            np.array([rank[f.image_id] for f in flags], dtype=np.int64),
+            np.array([f.index for f in flags], dtype=np.int64),
+            np.array([f.class_id for f in flags], dtype=np.int64),
+            np.array([f.score for f in flags], dtype=np.float64),
+            np.array([f.is_tp for f in flags], dtype=bool),
+        )
+
+    def rank_order(self) -> np.ndarray:
+        """Positions in rank order: descending score, then image id, then index."""
+        return np.lexsort((self.index, self.image, -self.score))
+
+    def _record(self, i: int) -> DetectionFlag:
+        return DetectionFlag(
+            image_id=self.image_ids[self.image[i]],
+            index=int(self.index[i]),
+            class_id=int(self.class_id[i]),
+            score=float(self.score[i]),
+            is_tp=bool(self.is_tp[i]),
+        )
+
+
+class PointArrays(RecordArrays):
+    """PR points as columns ``recall``, ``precision`` and
+    ``score_threshold``. Reads as a sequence of PRPoint."""
+
+    __slots__ = ("recall", "precision", "score_threshold")
+
+    def __init__(self, recall, precision, score_threshold):
+        self.recall = recall
+        self.precision = precision
+        self.score_threshold = score_threshold
+
+    @classmethod
+    def of(cls, points: Sequence[PRPoint]) -> "PointArrays":
+        """``points`` itself when it is a PointArrays, else its columns."""
+        if isinstance(points, PointArrays):
+            return points
+        return cls(*(
+            np.array([getattr(p, name) for p in points], dtype=np.float64)
+            for name in cls.__slots__
+        ))
+
+    def _record(self, i: int) -> PRPoint:
+        return PRPoint(
+            recall=float(self.recall[i]),
+            precision=float(self.precision[i]),
+            score_threshold=float(self.score_threshold[i]),
+        )
+
+
 @dataclass(frozen=True)
 class PRCurve:
     class_id: int
-    points: tuple[PRPoint, ...]
+    points: Sequence[PRPoint]
 
     def __post_init__(self):
-        last_t, last_r = float("inf"), -1.0
-        for p in self.points:
-            if p.score_threshold > last_t or p.recall < last_r:
-                raise ValueError("curve must have descending thresholds, non-decreasing recall")
-            last_t, last_r = p.score_threshold, p.recall
+        pts = PointArrays.of(self.points)
+        thresholds = np.concatenate(([np.inf], pts.score_threshold))
+        recalls = np.concatenate(([-1.0], pts.recall))
+        if (thresholds[1:] > thresholds[:-1]).any() or (recalls[1:] < recalls[:-1]).any():
+            raise ValueError("curve must have descending thresholds, non-decreasing recall")
 
 
 def match_detections(
     dets_by_image: Mapping[str, Sequence[Detection]],
     gts_by_image: Mapping[str, Sequence[GroundTruthBox]],
     iou_threshold: float,
-) -> tuple[list[DetectionFlag], dict[int, MatchCounts]]:
+) -> tuple[FlagArrays, dict[int, MatchCounts]]:
     """Greedily match detections to ground truths of the same class and image.
 
     Detections are processed in descending score (ties by image id, then
@@ -75,59 +156,84 @@ def match_detections(
     it is a false positive. Ground truths left unclaimed count as false
     negatives. The per-image greedy runs are order-independent, so results
     do not depend on dictionary ordering.
+
+    The flags come image by image (sorted ids), within an image class by
+    class in order of first appearance, each class in descending score
+    (ties by index). A DetectionArrays value is matched as it stands; any
+    other sequence of detections is converted to one first.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
-    flags: list[DetectionFlag] = []
-    tp: dict[int, int] = {}
-    fp: dict[int, int] = {}
-    gt_total: dict[int, int] = {}
-    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
-        dets = list(dets_by_image.get(image_id, ()))
-        gts = list(gts_by_image.get(image_id, ()))
-        for g in gts:
-            gt_total[g.class_id] = gt_total.get(g.class_id, 0) + 1
-        by_class: dict[int, list[int]] = {}
-        for i, d in enumerate(dets):
-            by_class.setdefault(d.class_id, []).append(i)
-        for class_id, det_idx in by_class.items():
-            gt_idx = [j for j, g in enumerate(gts) if g.class_id == class_id]
-            det_idx.sort(key=lambda i: (-dets[i].score, i))
-            if gt_idx:
-                ious = _kernels.iou_matrix(
-                    boxes_to_xyxy([dets[i].box for i in det_idx]),
-                    boxes_to_xyxy([gts[j].box for j in gt_idx]),
-                )
-            else:
-                ious = np.zeros((len(det_idx), 0))
-            claimed = np.zeros(len(gt_idx), dtype=bool)
-            for row, i in enumerate(det_idx):
-                best, best_iou = -1, 0.0
-                for col in range(len(gt_idx)):
-                    if not claimed[col] and ious[row, col] > best_iou:
-                        best, best_iou = col, float(ious[row, col])
-                is_tp = best >= 0 and best_iou >= iou_threshold
-                if is_tp:
-                    claimed[best] = True
-                    tp[class_id] = tp.get(class_id, 0) + 1
-                else:
-                    fp[class_id] = fp.get(class_id, 0) + 1
-                flags.append(
-                    DetectionFlag(
-                        image_id=image_id,
-                        index=i,
-                        class_id=class_id,
-                        score=dets[i].score,
-                        is_tp=is_tp,
-                    )
-                )
-    counts = {}
-    for class_id in set(tp) | set(fp) | set(gt_total):
-        t = tp.get(class_id, 0)
-        counts[class_id] = MatchCounts(
-            tp=t, fp=fp.get(class_id, 0), fn=gt_total.get(class_id, 0) - t
-        )
+    image_ids = sorted(set(dets_by_image) | set(gts_by_image))
+    empty = np.zeros(0, dtype=np.int64)
+    # image, index, class_id, score, is_tp of the flags, image by image
+    columns = [(empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool))]
+    gt_classes = [empty]
+    for image, image_id in enumerate(image_ids):
+        gts = gts_by_image.get(image_id, ())
+        gt_class = np.array([g.class_id for g in gts], dtype=np.int64)
+        gt_classes.append(gt_class)
+        dets = DetectionArrays.of(dets_by_image.get(image_id, ()))
+        if not len(dets):
+            continue
+        gt_xyxy = boxes_to_xyxy([g.box for g in gts])
+        is_tp = np.zeros(len(dets), dtype=bool)
+        order = []
+        classes, first = np.unique(dets.class_id, return_index=True)
+        for class_id in classes[np.argsort(first)]:
+            rows = np.flatnonzero(dets.class_id == class_id)
+            rows = rows[np.argsort(-dets.score[rows], kind="stable")]
+            cols = np.flatnonzero(gt_class == class_id)
+            if cols.size:
+                ious = _kernels.iou_matrix(dets.xyxy[rows], gt_xyxy[cols])
+                is_tp[rows] = _greedy(ious, iou_threshold)
+            order.append(rows)
+        order = np.concatenate(order)
+        columns.append((
+            np.full(len(order), image, dtype=np.int64),
+            order,
+            dets.class_id[order],
+            dets.score[order],
+            is_tp[order],
+        ))
+    flags = FlagArrays(image_ids, *(np.concatenate(c) for c in zip(*columns)))
+    gt_class = np.concatenate(gt_classes)
+    classes = _distinct(np.concatenate((flags.class_id, gt_class)))
+    det_pos = np.searchsorted(classes, flags.class_id)
+    tp = np.bincount(det_pos[flags.is_tp], minlength=len(classes))
+    dets_n = np.bincount(det_pos, minlength=len(classes))
+    gts_n = np.bincount(np.searchsorted(classes, gt_class), minlength=len(classes))
+    counts = {
+        c: MatchCounts(tp=t, fp=n - t, fn=g - t)
+        for c, t, n, g in zip(classes.tolist(), tp.tolist(), dets_n.tolist(), gts_n.tolist())
+    }
     return flags, counts
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values. (np.unique without index outputs imports
+    numpy.ma on its first call, about 20 ms of each eval process.)"""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _greedy(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """True-positive flags of the rows of a (detections, ground truths) IoU
+    matrix, rows in claiming order: each row claims the first unclaimed
+    column of highest IoU when that IoU clears the threshold."""
+    is_tp = np.zeros(len(ious), dtype=bool)
+    # a row whose best IoU is below the threshold can claim nothing,
+    # whatever earlier rows claimed; only the others are scanned in turn
+    rows = np.flatnonzero(ious.max(axis=1) >= iou_threshold)
+    left = ious[rows]
+    for k, row in enumerate(rows.tolist()):
+        col = int(left[k].argmax())
+        if left[k, col] >= iou_threshold:
+            is_tp[row] = True
+            left[k + 1:, col] = 0.0
+    return is_tp
 
 
 def precision(c: MatchCounts) -> float:
@@ -155,30 +261,25 @@ def pr_curve(flags: Sequence[DetectionFlag], total_gt: int) -> PRCurve:
     """
     if total_gt <= 0:
         raise NoGroundTruth("a PR curve needs at least one ground truth")
-    class_ids = {f.class_id for f in flags}
+    flags = FlagArrays.of(flags)
+    class_ids = _distinct(flags.class_id).tolist()
     if len(class_ids) > 1:
-        raise ValueError(f"flags mix classes {sorted(class_ids)}")
-    class_id = class_ids.pop() if class_ids else -1
-    return PRCurve(class_id=class_id, points=_sweep(flags, total_gt))
+        raise ValueError(f"flags mix classes {class_ids}")
+    class_id = class_ids[0] if class_ids else -1
+    order = flags.rank_order()
+    return PRCurve(class_id=class_id, points=_sweep(flags.score[order], flags.is_tp[order], total_gt))
 
 
-def _sweep(flags: Sequence[DetectionFlag], total_gt: int) -> tuple[PRPoint, ...]:
-    """The anchor point, then one cumulative point per flag in rank order
-    (descending score, then image id, then index)."""
-    ordered = sorted(flags, key=lambda f: (-f.score, f.image_id, f.index))
-    points = [PRPoint(recall=0.0, precision=1.0, score_threshold=1.0)]
-    cum_tp = cum_fp = 0
-    for flag in ordered:
-        cum_tp += flag.is_tp
-        cum_fp += not flag.is_tp
-        points.append(
-            PRPoint(
-                recall=cum_tp / total_gt,
-                precision=cum_tp / (cum_tp + cum_fp),
-                score_threshold=flag.score,
-            )
-        )
-    return tuple(points)
+def _sweep(score: np.ndarray, is_tp: np.ndarray, total_gt: int) -> PointArrays:
+    """The anchor point, then one cumulative point per flag; the flags'
+    scores and outcomes come in rank order."""
+    cum_tp = np.cumsum(is_tp, dtype=np.int64)
+    cum_fp = np.cumsum(~is_tp, dtype=np.int64)
+    return PointArrays(
+        recall=np.concatenate(([0.0], cum_tp / total_gt)),
+        precision=np.concatenate(([1.0], cum_tp / (cum_tp + cum_fp))),
+        score_threshold=np.concatenate(([1.0], score)),
+    )
 
 
 def average_precision(curve: PRCurve) -> float:
@@ -186,21 +287,14 @@ def average_precision(curve: PRCurve) -> float:
 
     Each recall step contributes its width times the precision envelope —
     the best precision attained at that recall or beyond — which realizes
-    the sum-of-recall-steps reading of AP.
+    the sum-of-recall-steps reading of AP. The steps are summed in order.
     """
-    pts = curve.points
-    n = len(pts)
-    if n <= 1:
+    pts = PointArrays.of(curve.points)
+    if len(pts) <= 1:
         return 0.0
-    env = [0.0] * n
-    running = 0.0
-    for i in range(n - 1, 0, -1):
-        running = max(running, pts[i].precision)
-        env[i] = running
-    ap = 0.0
-    for i in range(1, n):
-        ap += (pts[i].recall - pts[i - 1].recall) * env[i]
-    return ap
+    envelope = np.fmax.accumulate(np.fmax(pts.precision[:0:-1], 0.0))[::-1]
+    steps = np.diff(pts.recall) * envelope
+    return float(np.cumsum(np.concatenate(([0.0], steps)))[-1])
 
 
 def mean_average_precision(per_class: Mapping[int, float]) -> float:
@@ -216,12 +310,15 @@ def f1_max(curve: PRCurve) -> tuple[float, float]:
     Ties go to the higher threshold, so a curve with no useful rank (or no
     ranks at all) reports (0.0, 1.0) via the anchor point.
     """
-    best_f1, best_t = 0.0, 1.0
-    for p in curve.points:
-        value = f1(p.precision, p.recall)
-        if value > best_f1 or (value == best_f1 and p.score_threshold > best_t):
-            best_f1, best_t = value, p.score_threshold
-    return best_f1, best_t
+    pts = PointArrays.of(curve.points)
+    p, r = pts.precision, pts.recall
+    denom = p + r
+    value = np.zeros_like(denom)
+    np.divide(2.0 * p * r, denom, out=value, where=denom != 0.0)
+    # the largest (F1, threshold) pair, starting from (0.0, 1.0)
+    best = float(np.fmax.reduce(value, initial=0.0))
+    floor = 1.0 if best == 0.0 else -np.inf
+    return best, float(np.fmax.reduce(pts.score_threshold[value == best], initial=floor))
 
 
 @dataclass(frozen=True)
@@ -252,6 +349,8 @@ def evaluate(
     single ranked sweep against the total ground-truth count.
     """
     flags, counts = match_detections(dets_by_image, gts_by_image, iou_threshold)
+    order = flags.rank_order()
+    score, is_tp, class_of = flags.score[order], flags.is_tp[order], flags.class_id[order]
     per_class_ap: dict[int, float] = {}
     per_class_f1: dict[int, float] = {}
     curves: dict[int, PRCurve] = {}
@@ -263,13 +362,13 @@ def evaluate(
         total_gt += class_gt
         if class_gt == 0:
             continue
-        class_flags = [f for f in flags if f.class_id == class_id]
-        curve = pr_curve(class_flags, class_gt)
+        mine = class_of == class_id
+        curve = PRCurve(class_id=class_id, points=_sweep(score[mine], is_tp[mine], class_gt))
         curves[class_id] = curve
         per_class_ap[class_id] = average_precision(curve)
     mean_ap = mean_average_precision(per_class_ap) if per_class_ap else 0.0
     if total_gt > 0:
-        best_f1, best_t = f1_max(PRCurve(class_id=-1, points=_sweep(flags, total_gt)))
+        best_f1, best_t = f1_max(PRCurve(class_id=-1, points=_sweep(score, is_tp, total_gt)))
     else:
         best_f1, best_t = 0.0, 1.0
     return MetricReport(
@@ -285,15 +384,13 @@ def evaluate(
 
 
 def write_pr_curve_csv(curves: Mapping[int, PRCurve]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["class_id", "score_threshold", "recall", "precision"])
+    lines = ["class_id,score_threshold,recall,precision\n"]
     for class_id in sorted(curves):
-        for p in curves[class_id].points:
-            writer.writerow(
-                [class_id, f"{p.score_threshold:.6f}", f"{p.recall:.6f}", f"{p.precision:.6f}"]
-            )
-    return buf.getvalue()
+        pts = PointArrays.of(curves[class_id].points)
+        row = f"{class_id},%.6f,%.6f,%.6f\n"
+        columns = (pts.score_threshold, pts.recall, pts.precision)
+        lines.extend(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    return "".join(lines)
 
 
 def write_metric_csv(report: MetricReport, run_id: str, scale: int) -> str:

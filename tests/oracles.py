@@ -115,3 +115,111 @@ def decode_ref(values, anchors, stride, score_threshold, objectness_threshold):
                 bh = anchors[a][1] * math.exp(t[3])
                 out.append((bx - bw / 2, by - bh / 2, bw, bh, score, best))
     return out
+
+
+def parse_detections_ref(content):
+    """Line-by-line detection parser with the checks of the file format.
+
+    Returns (class_id, score, x_min, y_min, width, height) tuples and raises
+    the format errors of the first bad line: field count, non-numeric field
+    and negative class (MalformedLine), score outside [0, 1]
+    (ScoreOutOfRange), a side <= 0 or a non-finite box field (OutOfRange).
+    """
+    from vceval.errors import MalformedLine, OutOfRange, ScoreOutOfRange
+
+    out = []
+    for line_no, raw in enumerate(content.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise MalformedLine(line_no, f"expected 6 fields, got {len(parts)}")
+        try:
+            class_id = int(parts[0])
+            score, x_min, y_min, width, height = (float(p) for p in parts[1:])
+        except ValueError:
+            raise MalformedLine(line_no, "non-numeric field") from None
+        if class_id < 0:
+            raise MalformedLine(line_no, f"negative class id {class_id}")
+        if not 0.0 <= score <= 1.0:
+            raise ScoreOutOfRange(line_no, score)
+        if width <= 0 or height <= 0:
+            raise OutOfRange(line_no, "box sides must be > 0")
+        for name, v in (("x_min", x_min), ("y_min", y_min), ("width", width), ("height", height)):
+            if not math.isfinite(v):
+                raise OutOfRange(line_no, f"{name} must be finite")
+        out.append((class_id, score, x_min, y_min, width, height))
+    return out
+
+
+def _corner_iou(a, b):
+    """IoU of two (x_min, y_min, width, height) tuples with the arithmetic
+    of the corner-format kernel: corners first, areas from the corners."""
+    ax1, ay1, ax2, ay2 = a[0], a[1], a[0] + a[2], a[1] + a[3]
+    bx1, by1, bx2, by2 = b[0], b[1], b[0] + b[2], b[1] + b[3]
+    inter = max(0.0, min(ax2, bx2) - max(ax1, bx1)) * max(0.0, min(ay2, by2) - max(ay1, by1))
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+def match_ref(dets_by_image, gts_by_image, iou_threshold):
+    """The plain greedy matching loop.
+
+    dets_by_image: {image_id: [(class_id, score, x, y, w, h), ...]},
+    gts_by_image: {image_id: [(class_id, x, y, w, h), ...]}. Images in
+    sorted order; within an image, classes in order of first appearance,
+    each in (descending score, index) order. A detection claims the first
+    unclaimed same-class ground truth of highest IoU > 0 when that IoU is
+    >= iou_threshold. Returns ([(image_id, index, class_id, score, is_tp)],
+    {class_id: (tp, fp, fn)}).
+    """
+    flags = []
+    tp, fp, gt_total = {}, {}, {}
+    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
+        dets = dets_by_image.get(image_id, [])
+        gts = gts_by_image.get(image_id, [])
+        for g in gts:
+            gt_total[g[0]] = gt_total.get(g[0], 0) + 1
+        by_class = {}
+        for i, d in enumerate(dets):
+            by_class.setdefault(d[0], []).append(i)
+        for class_id, det_idx in by_class.items():
+            gt_idx = [j for j, g in enumerate(gts) if g[0] == class_id]
+            det_idx.sort(key=lambda i: (-dets[i][1], i))
+            claimed = [False] * len(gt_idx)
+            for i in det_idx:
+                best, best_iou = -1, 0.0
+                for col, j in enumerate(gt_idx):
+                    v = _corner_iou(dets[i][2:], gts[j][1:])
+                    if not claimed[col] and v > best_iou:
+                        best, best_iou = col, v
+                is_tp = best >= 0 and best_iou >= iou_threshold
+                if is_tp:
+                    claimed[best] = True
+                    tp[class_id] = tp.get(class_id, 0) + 1
+                else:
+                    fp[class_id] = fp.get(class_id, 0) + 1
+                flags.append((image_id, i, class_id, dets[i][1], is_tp))
+    counts = {}
+    for class_id in set(tp) | set(fp) | set(gt_total):
+        t = tp.get(class_id, 0)
+        counts[class_id] = (t, fp.get(class_id, 0), gt_total.get(class_id, 0) - t)
+    return flags, counts
+
+
+def f1_max_ref(flags, total_gt):
+    """Best F1 over the ranked sweep of (score, image_id, index, is_tp)
+    flags and its threshold: a running scan from (0.0, 1.0) that moves to a
+    rank with higher F1, or equal F1 and a higher threshold."""
+    ordered = sorted(flags, key=lambda f: (-f[0], f[1], f[2]))
+    best_f1, best_t = 0.0, 1.0
+    tp = fp = 0
+    for score, image_id, index, is_tp in ordered:
+        tp += 1 if is_tp else 0
+        fp += 0 if is_tp else 1
+        p, r = tp / (tp + fp), tp / total_gt
+        value = 2.0 * p * r / (p + r) if p + r else 0.0
+        if value > best_f1 or (value == best_f1 and score > best_t):
+            best_f1, best_t = value, score
+    return best_f1, best_t

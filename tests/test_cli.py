@@ -2,7 +2,9 @@
 
 import json
 import math
+import multiprocessing
 import os
+import stat
 import struct
 
 import numpy as np
@@ -498,6 +500,121 @@ class TestEval:
         )
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def tile_at_320(self, tmp_path):
+        """Labels tiled at 320 px and an empty detection file per tile."""
+        (tmp_path / "labels").mkdir()
+        make_manifest(tmp_path / "images.csv", [("img", 640, 640)])
+        (tmp_path / "labels" / "img.txt").write_text(label_line(0, 0.25, 0.25, 0.1, 0.1))
+        tiles = tmp_path / "tiles"
+        rc = cli.main(
+            [
+                "tile",
+                "--manifest", str(tmp_path / "images.csv"),
+                "--labels-dir", str(tmp_path / "labels"),
+                "--out-dir", str(tiles),
+                "--tile-size", "320",
+            ]
+        )
+        assert rc == 0
+        dets = tmp_path / "dets"
+        dets.mkdir()
+        for tile_id, _, _ in read_tile_manifest((tiles / "tiles.csv").read_text()):
+            (dets / f"{tile_id}.det.txt").write_text("")
+        return tiles, dets
+
+    def test_tile_size_other_than_input_size_is_config_error(self, tmp_path, capsys):
+        tiles, dets = self.tile_at_320(tmp_path)
+        rc = cli.main(
+            [
+                "eval",
+                "--detections-dir", str(dets),
+                "--labels-dir", str(tiles),
+                "--out-dir", str(tmp_path / "eval"),
+                "--run-id", "r1",
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "tile size 320" in err and "input size 416" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_tile_size_equal_to_input_size_runs(self, tmp_path):
+        tiles, dets = self.tile_at_320(tmp_path)
+        rc = cli.main(
+            [
+                "eval",
+                "--detections-dir", str(dets),
+                "--labels-dir", str(tiles),
+                "--out-dir", str(tmp_path / "eval"),
+                "--run-id", "r1",
+                "--input-size", "320",
+            ]
+        )
+        assert rc == 0
+        row = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1].split(",")
+        assert (row[1], row[6], row[7], row[8]) == ("320", "0", "0", "1")
+
+    def test_bad_detection_line_names_file_and_line(self, tmp_path, capsys):
+        labels, dets = self.setup_run(tmp_path)
+        dets.joinpath("t1.det.txt").write_text(
+            "# header\n\n" + det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6) + "0 1.5 1 1 5 5\n"
+        )
+        rc = cli.main(
+            [
+                "eval",
+                "--detections-dir", str(dets),
+                "--labels-dir", str(labels),
+                "--out-dir", str(tmp_path / "eval"),
+                "--run-id", "r1",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t1.det.txt: line 4: score 1.5 outside [0, 1]" in err
+
+
+def _append_rows(path, worker, barrier):
+    barrier.wait()
+    for k in range(10):
+        cli._append_observations(path, [(f"w{worker}", "map30", "416", k / 10)])
+
+
+class TestWrites:
+    def test_concurrent_appends_keep_every_row(self, tmp_path):
+        path = tmp_path / "observations.csv"
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(4)
+        workers = [
+            ctx.Process(target=_append_rows, args=(str(path), w, barrier)) for w in range(4)
+        ]
+        for p in workers:
+            p.start()
+        for p in workers:
+            p.join(timeout=60)
+        assert [p.exitcode for p in workers] == [0] * 4
+        lines = path.read_text().splitlines()
+        assert lines[0] == cli.OBSERVATION_HEADER
+        assert lines.count(cli.OBSERVATION_HEADER) == 1
+        assert sorted(lines[1:]) == sorted(
+            f"w{w},map30,416,{k / 10:.6f}" for w in range(4) for k in range(10)
+        )
+        assert os.listdir(tmp_path) == ["observations.csv"]
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("before\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_text(str(path), "lone surrogate \udcff\n")
+        assert path.read_text() == "before\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.txt"
+        cli._write_text(str(path), "x\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
 def write_observations(path, per_group, metric="map30"):

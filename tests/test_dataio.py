@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vceval.boxes import BoundingBox, Detection, GroundTruthBox
 from vceval.dataio import (
@@ -22,6 +24,7 @@ from vceval.dataio import (
 from vceval.errors import (
     BadMagic,
     EmptyDataset,
+    FormatError,
     MalformedLine,
     OutOfRange,
     ScoreOutOfRange,
@@ -29,6 +32,8 @@ from vceval.errors import (
     TruncatedPayload,
 )
 from vceval.netops import RawHeadTensor
+
+from oracles import parse_detections_ref
 
 
 class TestLabelFormat:
@@ -297,3 +302,101 @@ class TestManifest:
             read_image_manifest("image_id,width,height\nframe_a,abc,100\n")
         with pytest.raises(MalformedLine):
             read_image_manifest("image_id,width,height\nframe_a,100\n")
+
+
+# --- detection parser against the line-by-line oracle ----------------------
+
+_CLASS_TOKENS = ["0", "1", "3", "+2", "-0", "1.0", "-1", "1e0", "x", "nan"]
+_SCORE_TOKENS = ["0.5", "0.900000", "0", "-0.0", "1.0", "1", "1.0000001", "-0.1",
+                 "nan", "inf", "1e-400", "abc"]
+_COORD_TOKENS = ["10.5", "-3", "0", "-0.0", "400.000001", "1e308", "1e309",
+                 "nan", "inf", "-inf", "1_0", "abc"]
+_SIDE_TOKENS = ["5", "41.6", "0.000001", "1e-320", "0", "-0.0", "-2", "nan", "inf", "abc"]
+
+
+_FIELD_TOKENS = [_CLASS_TOKENS, _SCORE_TOKENS, _COORD_TOKENS, _COORD_TOKENS,
+                 _SIDE_TOKENS, _SIDE_TOKENS]
+_VALID_TOKENS = [["0", "1"], ["0.5", "0.900000", "1.0"], ["10.5", "-3"], ["10.5", "0"],
+                 ["5", "41.6"], ["5", "0.000001"]]
+
+
+@st.composite
+def _det_line(draw):
+    """A detection line, valid in about three fields of four, with 5-7 fields."""
+    n_fields = draw(st.sampled_from([6, 6, 6, 6, 5, 7]))
+    tokens = [
+        draw(st.sampled_from(_VALID_TOKENS[k] if draw(st.integers(0, 3)) else _FIELD_TOKENS[k]))
+        for k in range(min(n_fields, 6))
+    ] + ["1"] * (n_fields - 6)
+    indent = draw(st.sampled_from(["", " ", "\t"]))
+    return indent + draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+_OTHER_LINES = st.sampled_from(["", "   ", "# comment", "  # 0 0.5 1 1 5 5", "#", "#0 0.5 1 1 5 5"])
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except FormatError as exc:
+        return type(exc), exc.line_no, str(exc)
+
+
+class TestDetectionParserAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.one_of(_det_line(), _OTHER_LINES), max_size=12),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           trailing=st.booleans())
+    def test_same_rows_or_same_first_error(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        got = _outcome(parse_detection_file, text)
+        want = _outcome(parse_detections_ref, text)
+        if got[0] == "ok" and want[0] == "ok":
+            dets = got[1]
+            rows = list(zip(dets.class_id.tolist(), dets.score.tolist(),
+                            *dets.xywh.T.tolist()))
+            # repr tells -0.0 from 0.0
+            assert repr(rows) == repr(want[1])
+            assert repr([(d.class_id, d.score, d.box.x_min, d.box.y_min, d.box.width,
+                          d.box.height) for d in dets]) == repr(want[1])
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("1.0 0.5 1 1 5 5", MalformedLine),
+            ("-1 0.5 1 1 5 5", MalformedLine),
+            ("0 1.0000001 1 1 5 5", ScoreOutOfRange),
+            ("0 nan 1 1 5 5", ScoreOutOfRange),
+            ("0 0.5 1 1 0 5", OutOfRange),
+            ("0 0.5 inf 1 5 5", OutOfRange),
+            ("0 0.5 1 1 5", MalformedLine),
+            ("0 0.5 1 1 5 5 5", MalformedLine),
+        ],
+    )
+    def test_named_cases_report_their_line(self, line, error):
+        text = "# detections\n\n0 0.5 1 1 5 5\n" + line + "\n0 0.5 1 1 5 5\n"
+        for parse in (parse_detection_file, parse_detections_ref):
+            with pytest.raises(error) as err:
+                parse(text)
+            assert err.value.line_no == 4
+
+    def test_class_id_beyond_64_bits_is_malformed(self):
+        # the oracle takes any integer; the columns hold int64 class ids
+        text = "0 0.5 1 1 5 5\n" + f"{2**63} 0.5 1 1 5 5\n"
+        assert parse_detections_ref(text)[1][0] == 2**63
+        with pytest.raises(MalformedLine, match="line 2: class id .* does not fit in 64 bits"):
+            parse_detection_file(text)
+        assert parse_detection_file(f"{2**63 - 1} 0.5 1 1 5 5\n")[0].class_id == 2**63 - 1
+
+    def test_columns_and_records_agree(self):
+        dets = parse_detection_file("2 0.25 1.5 2.5 3 4\n0 1 -1 0 0.5 0.75\n")
+        assert dets.class_id.tolist() == [2, 0]
+        assert dets.score.tolist() == [0.25, 1.0]
+        assert dets.xyxy.tolist() == [[1.5, 2.5, 4.5, 6.5], [-1.0, 0.0, -0.5, 0.75]]
+        assert dets[-1] == Detection(BoundingBox(-1.0, 0.0, 0.5, 0.75), 0, 1.0)
+        assert dets[:1] == [Detection(BoundingBox(1.5, 2.5, 3.0, 4.0), 2, 0.25)]
+        assert len(parse_detection_file("")) == 0 and parse_detection_file("# x\n") == []
+        with pytest.raises(IndexError):
+            dets[2]

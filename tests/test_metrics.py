@@ -22,7 +22,9 @@ from vceval.metrics import (
     write_pr_curve_csv,
 )
 
-from oracles import ap_step_ref
+from vceval.dataio import parse_detection_file, write_detection_file
+
+from oracles import _corner_iou, ap_step_ref, f1_max_ref, match_ref
 
 
 def det(x, y, w, h, cid=0, score=0.9):
@@ -202,6 +204,24 @@ class TestAveragePrecision:
             assert got == pytest.approx(want, abs=1e-9)
 
 
+    def test_long_curves_sum_steps_in_order(self):
+        # thousands of steps: a pairwise sum would differ in the last bits
+        rng = random.Random(31)
+        for _ in range(20):
+            n_det = rng.randint(500, 3000)
+            total_gt = rng.randint(50, 400)
+            kinds = [rng.random() < 0.3 for _ in range(n_det)]
+            flags = [DetectionFlag("i", k, 0, 1.0 - k / n_det, kinds[k]) for k in range(n_det)]
+            got = average_precision(pr_curve(flags, total_gt))
+            assert got == ap_step_ref([(f.score, f.image_id, f.index, f.is_tp) for f in flags], total_gt)
+
+    def test_envelope_never_below_zero(self):
+        # the running best precision starts at 0 and skips NaN
+        curve = PRCurve(0, (PRPoint(0.0, 1.0, 1.0), PRPoint(0.5, 0.5, 0.9),
+                            PRPoint(1.0, float("nan"), 0.8)))
+        assert average_precision(curve) == 0.25
+
+
 class TestF1Max:
     def test_worked_example(self):
         curve = PRCurve(
@@ -228,6 +248,10 @@ class TestF1Max:
         f_hi, t_hi = f1_max(curve)
         assert f_hi == pytest.approx(6 / 11)
         assert t_hi == 0.8
+
+    def test_no_useful_rank_reports_threshold_one_without_anchor(self):
+        curve = PRCurve(0, (PRPoint(0.0, 0.0, 0.5), PRPoint(0.0, 0.0, 0.4)))
+        assert f1_max(curve) == (0.0, 1.0)
 
     def test_empty_curve_reports_anchor(self):
         assert f1_max(pr_curve([], total_gt=5)) == (0.0, 1.0)
@@ -301,3 +325,89 @@ class TestCsvWriters:
         assert row0[:4] == ["run7", "416", "0", "1.000000"]
         row3 = lines[2].split(",")
         assert row3[2] == "3" and row3[3] == ""  # FP-only class: blank AP
+
+
+class TestMatchAgainstOracle:
+    """The array matcher and sweep against the plain greedy loop, on scenes
+    built from a small grid so that scores tie, ground truths tie on IoU,
+    IoUs land exactly on the threshold and many rows overlap nothing."""
+
+    THRESHOLDS = (0.5, 1 / 3, 0.3, 0.25, 1.0)
+
+    @staticmethod
+    def scene(rng):
+        dets, gts = {}, {}
+        for _ in range(rng.randint(1, 4)):
+            image_id = f"img{rng.randint(0, 9)}"
+            boxes = [
+                (rng.randint(0, 1), rng.randint(0, 6), rng.randint(0, 6),
+                 rng.choice((1, 2, 2, 4)), rng.choice((1, 2, 2, 4)))
+                for _ in range(rng.randint(0, 5))
+            ]
+            if rng.random() < 0.8:
+                gts[image_id] = boxes
+            if rng.random() < 0.15:
+                continue  # an image without detections
+            dets[image_id] = []
+            for _ in range(rng.randint(0, 8)):
+                cls, score = rng.randint(0, 2), rng.choice((0.1, 0.5, 0.5, 0.9, 1.0))
+                if boxes and rng.random() < 0.5:
+                    # a ground-truth box shifted by a cell: IoUs of 1/3, 1/2, 3/5...
+                    _, x, y, w, h = rng.choice(boxes)
+                    x, y = x + rng.choice((-1, 0, 1)), y + rng.choice((-1, 0, 1))
+                else:
+                    x, y = rng.randint(0, 6) + rng.choice((0.0, 0.5)), rng.randint(0, 6)
+                    w, h = rng.choice((1, 2, 2, 4)), rng.choice((1, 2, 2, 4))
+                dets[image_id].append((cls, score, x, y, w, h))
+        return dets, gts
+
+    @staticmethod
+    def objects(dets, gts):
+        return (
+            {i: [Detection(BoundingBox(*d[2:]), d[0], d[1]) for d in ds] for i, ds in dets.items()},
+            {i: [GroundTruthBox(BoundingBox(*g[1:]), g[0]) for g in gs] for i, gs in gts.items()},
+        )
+
+    def test_flags_counts_ap_and_f1_are_identical(self):
+        rng = random.Random(4242)
+        at_threshold = 0
+        for trial in range(800):
+            dets, gts = self.scene(rng)
+            thr = self.THRESHOLDS[trial % len(self.THRESHOLDS)]
+            det_objs, gt_objs = self.objects(dets, gts)
+            want_flags, want_counts = match_ref(dets, gts, thr)
+            flags, counts = match_detections(det_objs, gt_objs, thr)
+            assert [(f.image_id, f.index, f.class_id, f.score, f.is_tp) for f in flags] == want_flags
+            assert {c: (m.tp, m.fp, m.fn) for c, m in counts.items()} == want_counts
+
+            report = evaluate(det_objs, gt_objs, thr)
+            total_gt = 0
+            for c, (tp, fp, fn) in want_counts.items():
+                total_gt += tp + fn
+                if tp + fn:
+                    mine = [(s, i, k, t) for i, k, cls, s, t in want_flags if cls == c]
+                    assert report.per_class_ap[c] == ap_step_ref(mine, tp + fn)
+                else:
+                    assert c not in report.per_class_ap
+            pooled = [(s, i, k, t) for i, k, _, s, t in want_flags]
+            want_f1 = f1_max_ref(pooled, total_gt) if total_gt else (0.0, 1.0)
+            assert (report.f1_max, report.f1_max_threshold) == want_f1
+            at_threshold += any(
+                _iou_is(thr, d, g) for i in dets for d in dets[i] for g in gts.get(i, ())
+                if d[0] == g[0]
+            )
+        assert at_threshold > 50
+
+    def test_columns_in_give_the_same_report(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            dets, gts = self.scene(rng)
+            det_objs, gt_objs = self.objects(dets, gts)
+            columns = {i: parse_detection_file(write_detection_file(ds))
+                       for i, ds in det_objs.items()}
+            # the written file rounds to 6 decimals, which the grid survives
+            assert evaluate(columns, gt_objs, 0.5) == evaluate(det_objs, gt_objs, 0.5)
+
+
+def _iou_is(value, det, gt):
+    return _corner_iou(det[2:], gt[1:]) == value
