@@ -190,8 +190,10 @@ def decode_grid(raw, anchors, stride, score_threshold, objectness_threshold):
 
     bx = (xi[kept] + prob[kept, 0]) * stride
     by = (yi[kept] + prob[kept, 1]) * stride
-    bw = anchors[ai[kept], 0] * np.exp(cells[kept, 2])
-    bh = anchors[ai[kept], 1] * np.exp(cells[kept, 3])
+    # a large size logit overflows to an infinite side; the caller rejects it
+    with np.errstate(over="ignore"):
+        bw = anchors[ai[kept], 0] * np.exp(cells[kept, 2])
+        bh = anchors[ai[kept], 1] * np.exp(cells[kept, 3])
 
     boxes = np.stack([bx - bw / 2.0, by - bh / 2.0, bw, bh], axis=1)
     return boxes, score[kept], best_cls[kept].astype(np.int64)

@@ -8,8 +8,10 @@ are converted at module boundaries.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -75,6 +77,98 @@ class GroundTruthBox:
             raise ValueError("class_id must be >= 0")
 
 
+class RecordArrays(Sequence):
+    """A read-only sequence of records kept as parallel numpy columns.
+
+    Code that wants arrays reads the columns; code that wants objects
+    indexes or iterates, and each record is built on access by
+    ``_record(i)``. ``==`` compares record by record with any sequence, as
+    a list or tuple of the same records would. The first name in a
+    subclass's ``__slots__`` is a column as long as the sequence.
+    """
+
+    __slots__ = ()
+
+    def _record(self, i: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._record(k) for k in range(*i.indices(n))]
+        k = operator.index(i)
+        if not -n <= k < n:
+            raise IndexError(f"index {i} out of range for {n} records")
+        return self._record(k % n)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class DetectionArrays(RecordArrays):
+    """Detections as columns: ``score`` (N,) float64, ``class_id`` (N,)
+    int64, ``xywh`` (N, 4) float64 rows (x_min, y_min, width, height) and
+    the corners ``xyxy`` (N, 4) derived from them, (x_min, y_min,
+    x_min + width, y_min + height) as in BoundingBox. Reads as a sequence
+    of Detection."""
+
+    __slots__ = ("score", "class_id", "xywh", "xyxy")
+
+    def __init__(self, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray):
+        self.score = score
+        self.class_id = class_id
+        self.xywh = xywh
+        self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+
+    @classmethod
+    def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
+        """``dets`` itself when it is a DetectionArrays, else its columns."""
+        if isinstance(dets, DetectionArrays):
+            return dets
+        return cls(
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([d.class_id for d in dets], dtype=np.int64),
+            np.array(
+                [(d.box.x_min, d.box.y_min, d.box.width, d.box.height) for d in dets],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["DetectionArrays"]) -> "DetectionArrays":
+        """The rows of one or more DetectionArrays, in order."""
+        return cls(
+            np.concatenate([p.score for p in parts]),
+            np.concatenate([p.class_id for p in parts]),
+            np.concatenate([p.xywh for p in parts]),
+        )
+
+    def take(self, idx: np.ndarray) -> "DetectionArrays":
+        """The rows at the integer positions ``idx``, in that order."""
+        return DetectionArrays(self.score[idx], self.class_id[idx], self.xywh[idx])
+
+    def _record(self, i: int) -> Detection:
+        return Detection(
+            box=BoundingBox(*self.xywh[i].tolist()),
+            class_id=int(self.class_id[i]),
+            score=float(self.score[i]),
+        )
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection area over union area. 0 for disjoint or merely touching
     boxes (the open-intersection convention)."""
@@ -118,7 +212,7 @@ def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray
     return _kernels.iou_matrix(boxes_to_xyxy(a), boxes_to_xyxy(b))
 
 
-def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
+def nms(dets: Sequence[Detection], iou_threshold: float) -> Sequence[Detection]:
     """Greedy per-class non-maximum suppression.
 
     Repeatedly keeps the highest-scoring remaining detection and discards
@@ -126,15 +220,16 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     Ties on score are broken toward the lower original index, so the result
     is deterministic under any permutation of equal-score inputs. Output is
     ordered by descending score. Cross-class suppression never occurs.
+
+    A DetectionArrays input gives a DetectionArrays of the kept rows; any
+    other sequence gives a list of the caller's own kept objects.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
-    if not dets:
-        return []
-    xyxy = boxes_to_xyxy([d.box for d in dets])
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    cols = DetectionArrays.of(dets)
     # primary key: descending score; secondary: original index
-    order = np.lexsort((np.arange(len(dets)), -scores)).astype(np.int64)
-    keep = _kernels.nms_keep(xyxy, classes, order, float(iou_threshold))
+    order = np.lexsort((np.arange(len(cols)), -cols.score))
+    keep = _kernels.nms_keep(cols.xyxy, cols.class_id, order, float(iou_threshold))
+    if isinstance(dets, DetectionArrays):
+        return dets.take(keep)
     return [dets[i] for i in keep]

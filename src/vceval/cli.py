@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from . import stats as statsmod
-from .boxes import Detection, GroundTruthBox, nms
+from .boxes import DetectionArrays, nms
 from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
@@ -180,7 +180,7 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     written = 0
     for stem in stems:
-        detections: list[Detection] = []
+        parts = []
         for scale_idx, suffix in enumerate(SCALE_SUFFIXES):
             path = os.path.join(args.tensors_dir, stem + suffix)
             if not os.path.exists(path):
@@ -203,16 +203,19 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
                     f"config names {len(config.class_names)}"
                 )
             anchors = [AnchorBox(w, h) for w, h in anchor_sets[scale_idx]]
-            detections.extend(
-                decode_head(
-                    tensor,
-                    anchors,
-                    strides[scale_idx],
-                    config.score_threshold,
-                    objectness_threshold=config.objectness_threshold,
+            try:
+                parts.append(
+                    decode_head(
+                        tensor,
+                        anchors,
+                        strides[scale_idx],
+                        config.score_threshold,
+                        objectness_threshold=config.objectness_threshold,
+                    )
                 )
-            )
-        survivors = nms(detections, config.nms_iou_threshold)
+            except FormatError as exc:
+                raise FormatError(f"{stem + suffix}: {exc}") from None
+        survivors = nms(DetectionArrays.concat(parts), config.nms_iou_threshold)
         _write_text(
             os.path.join(args.out_dir, stem + ".det.txt"),
             write_detection_file(survivors),

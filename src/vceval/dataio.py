@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import random
 import struct
 from collections.abc import Sequence
@@ -28,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, GroundTruthBox, clip_to
+from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, clip_to
 from .errors import (
     BadMagic,
     EmptyDataset,
@@ -146,85 +145,6 @@ def write_label_file(
     return "".join(line + "\n" for line in lines)
 
 
-class RecordArrays(Sequence):
-    """A read-only sequence of records kept as parallel numpy columns.
-
-    Code that wants arrays reads the columns; code that wants objects
-    indexes or iterates, and each record is built on access by
-    ``_record(i)``. ``==`` compares record by record with any sequence, as
-    a list or tuple of the same records would. The first name in a
-    subclass's ``__slots__`` is a column as long as the sequence.
-    """
-
-    __slots__ = ()
-
-    def _record(self, i: int):
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(getattr(self, self.__slots__[0]))
-
-    def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            return [self._record(k) for k in range(*i.indices(n))]
-        k = operator.index(i)
-        if not -n <= k < n:
-            raise IndexError(f"index {i} out of range for {n} records")
-        return self._record(k % n)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class DetectionArrays(RecordArrays):
-    """Detections as columns: ``score`` (N,) float64, ``class_id`` (N,)
-    int64, ``xywh`` (N, 4) float64 rows (x_min, y_min, width, height) and
-    the corners ``xyxy`` (N, 4) derived from them, (x_min, y_min,
-    x_min + width, y_min + height) as in BoundingBox. Reads as a sequence
-    of Detection."""
-
-    __slots__ = ("score", "class_id", "xywh", "xyxy")
-
-    def __init__(self, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray):
-        self.score = score
-        self.class_id = class_id
-        self.xywh = xywh
-        self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
-
-    @classmethod
-    def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
-        """``dets`` itself when it is a DetectionArrays, else its columns."""
-        if isinstance(dets, DetectionArrays):
-            return dets
-        return cls(
-            np.array([d.score for d in dets], dtype=np.float64),
-            np.array([d.class_id for d in dets], dtype=np.int64),
-            np.array(
-                [(d.box.x_min, d.box.y_min, d.box.width, d.box.height) for d in dets],
-                dtype=np.float64,
-            ).reshape(-1, 4),
-        )
-
-    def _record(self, i: int) -> Detection:
-        return Detection(
-            box=BoundingBox(*self.xywh[i].tolist()),
-            class_id=int(self.class_id[i]),
-            score=float(self.score[i]),
-        )
-
-
 def _check_detection_line(line_no: int, parts: list[str]) -> None:
     """Raise the error of one split detection line, if it has one. The
     checks run in this order, so a line reports the first that fails."""
@@ -288,14 +208,11 @@ def parse_detection_file(content: str) -> DetectionArrays:
 
 
 def write_detection_file(dets: Sequence[Detection]) -> str:
-    lines = []
-    for d in dets:
-        b = d.box
-        lines.append(
-            f"{d.class_id} {d.score:.6f} "
-            f"{b.x_min:.6f} {b.y_min:.6f} {b.width:.6f} {b.height:.6f}"
-        )
-    return "".join(line + "\n" for line in lines)
+    """One ``class_id score x_min y_min width height`` line per detection,
+    every float at six decimal places, formatted from the columns."""
+    cols = DetectionArrays.of(dets)
+    rows = zip(cols.class_id.tolist(), cols.score.tolist(), *cols.xywh.T.tolist())
+    return "".join(map("%d %.6f %.6f %.6f %.6f %.6f\n".__mod__, rows))
 
 
 def write_tensor(tensor: RawHeadTensor) -> bytes:

@@ -56,6 +56,11 @@ class NonFinitePayload(FormatError):
     """A tensor payload holds a NaN or an infinity."""
 
 
+class DegenerateBox(FormatError):
+    """A head decodes to a detection that is not a valid box, e.g. a
+    non-finite coordinate or a side that is not > 0."""
+
+
 # --- geometry / tensor shape errors --------------------------------------
 
 class ShapeMismatch(VCEvalError):

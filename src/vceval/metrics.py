@@ -20,9 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import Detection, GroundTruthBox, boxes_to_xyxy
+from .boxes import Detection, DetectionArrays, GroundTruthBox, RecordArrays, boxes_to_xyxy
 from . import _kernels
-from .dataio import DetectionArrays, RecordArrays
 from .errors import EmptyClassSet, NoGroundTruth
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import sigmoid
-from .boxes import BoundingBox, Detection, GroundTruthBox
-from .errors import EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
+from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox
+from .errors import DegenerateBox, EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
 
 ANCHORS_PER_SCALE = 3
 BN_EPS = 1e-5
@@ -194,13 +194,16 @@ def decode_head(
     stride: int,
     score_threshold: float,
     objectness_threshold: float = 0.0,
-) -> list[Detection]:
+) -> DetectionArrays:
     """Decode every (cell, anchor) candidate and keep those whose score
     clears score_threshold (and whose objectness clears objectness_threshold,
     which defaults to "keep everything").
 
     Output boxes are corner format in input-image pixels, in (anchor, row,
-    column) scan order.
+    column) scan order, as the columns of a DetectionArrays. A kept
+    candidate that is not a valid Detection (e.g. a size logit so large
+    that its side overflows) raises DegenerateBox with the reason the
+    Detection would give.
     """
     if len(anchors) != ANCHORS_PER_SCALE:
         raise ShapeMismatch(f"expected {ANCHORS_PER_SCALE} anchors, got {len(anchors)}")
@@ -218,14 +221,24 @@ def decode_head(
         float(score_threshold),
         float(objectness_threshold),
     )
-    return [
-        Detection(
-            box=BoundingBox(xywh[i, 0], xywh[i, 1], xywh[i, 2], xywh[i, 3]),
-            class_id=int(class_ids[i]),
-            score=min(float(scores[i]), 1.0),
-        )
-        for i in range(len(scores))
-    ]
+    score = np.minimum(scores, 1.0)
+    # what BoundingBox and Detection check, over all rows at once; the
+    # corners of a bad box are not formed, so no overflow warning escapes
+    ok = (
+        np.isfinite(xywh).all(axis=1)
+        & (xywh[:, 2:] > 0.0).all(axis=1)
+        & (class_ids >= 0)
+        & (score >= 0.0)
+        & (score <= 1.0)
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            Detection(BoundingBox(*xywh[i].tolist()), int(class_ids[i]), float(score[i]))
+        except ValueError as exc:
+            raise DegenerateBox(f"decoded detection {i}: {exc}") from None
+        raise AssertionError("the vectorised box checks disagree with Detection's")
+    return DetectionArrays(score, class_ids, xywh)
 
 
 def assign_responsible_cells(

@@ -153,6 +153,17 @@ def parse_detections_ref(content):
     return out
 
 
+def write_detections_ref(rows):
+    """The per-object detection writer: one f-string line per
+    (class_id, score, x_min, y_min, width, height) tuple."""
+    lines = []
+    for class_id, score, x_min, y_min, width, height in rows:
+        lines.append(
+            f"{class_id} {score:.6f} {x_min:.6f} {y_min:.6f} {width:.6f} {height:.6f}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
 def _corner_iou(a, b):
     """IoU of two (x_min, y_min, width, height) tuples with the arithmetic
     of the corner-format kernel: corners first, areas from the corners."""

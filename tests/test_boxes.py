@@ -6,6 +6,7 @@ import pytest
 from vceval.boxes import (
     BoundingBox,
     Detection,
+    DetectionArrays,
     GroundTruthBox,
     boxes_to_xyxy,
     clip_to,
@@ -153,6 +154,23 @@ class TestArrayHelpers:
             for j, b in enumerate(cols):
                 assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
+    def test_detection_arrays_concat_and_take(self):
+        a = DetectionArrays.of([Detection(BoundingBox(0.0, 1.0, 2.0, 3.0), 1, 0.5)])
+        b = DetectionArrays.of([
+            Detection(BoundingBox(-1.5, 0.25, 1.0, 0.5), 0, 1.0),
+            Detection(BoundingBox(4.0, 4.0, 8.0, 8.0), 2, 0.125),
+        ])
+        empty = DetectionArrays.of([])
+        both = DetectionArrays.concat([a, empty, b])
+        assert both == list(a) + list(b)
+        assert both.class_id.dtype == np.int64 and both.score.dtype == np.float64
+        assert both.xyxy.tolist() == [[0.0, 1.0, 2.0, 4.0], [-1.5, 0.25, -0.5, 0.75],
+                                      [4.0, 4.0, 12.0, 12.0]]
+        picked = both.take(np.array([2, 0]))
+        assert picked == [both[2], both[0]]
+        assert picked.xyxy.tolist() == [both.xyxy[2].tolist(), both.xyxy[0].tolist()]
+        assert len(both.take(np.zeros(0, dtype=np.int64))) == 0
+
     def test_iou_matrix_empty_sides(self):
         box = [BoundingBox(0.0, 0.0, 1.0, 1.0)]
         assert iou_matrix([], box).shape == (0, 1)
@@ -187,6 +205,7 @@ class TestNMS:
 
     def test_empty_input(self):
         assert nms([], 0.5) == []
+        assert nms(DetectionArrays.of([]), 0.5) == []
 
     def test_score_tie_keeps_earlier_detection(self):
         a = Detection(BoundingBox(0.0, 0.0, 10.0, 10.0), 0, 0.8)
@@ -215,3 +234,12 @@ class TestNMS:
             kept = nms(dets, thr)
             want = [dets[i] for i in nms_ref(entries, thr)]
             assert kept == want
+            # a list keeps the caller's own objects
+            assert all(k is w for k, w in zip(kept, want))
+            cols = DetectionArrays.of(dets)
+            kept_cols = nms(cols, thr)
+            assert isinstance(kept_cols, DetectionArrays)
+            assert kept_cols == want
+            np.testing.assert_array_equal(
+                kept_cols.xyxy, cols.xyxy[nms_ref(entries, thr)].reshape(-1, 4)
+            )

@@ -1,17 +1,22 @@
 """End-to-end command tests driven through cli.main() against temp dirs."""
 
+import contextlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import stat
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vceval import cli
-from vceval.dataio import write_tensor
+from vceval.dataio import read_tensor, write_tensor
 from vceval.netops import RawHeadTensor
 from vceval.tiler import read_tile_manifest
 
@@ -356,6 +361,79 @@ class TestDecode:
         )
         assert rc == 2
         assert "tile_h.s1.vct" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("t_w, reason", [
+        (1000.0, "x_min must be finite"),
+        (-1000.0, "width and height must be > 0"),
+    ])
+    def test_degenerate_box_is_data_error(self, tmp_path, capsys, t_w, reason):
+        write_scale_tensors(tmp_path / "t", "tile_i", hot=(1, 0, 3, 3, 1))
+        path = tmp_path / "t" / "tile_i.s1.vct"
+        vals = read_tensor(path.read_bytes()).values
+        vals[2, 3, 3] = t_w  # the hot candidate's width logit
+        path.write_bytes(write_tensor(RawHeadTensor(vals)))
+        rc = cli.main(
+            ["decode", "--tensors-dir", str(tmp_path / "t"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert f"tile_i.s1.vct: decoded detection 0: {reason}" in capsys.readouterr().err
+
+
+# finite float32 values at the edges: the largest magnitude, logits whose
+# exponential overflows or vanishes, the smallest subnormal and normal
+_F32_EXTREMES = [3.4e38, -3.4e38, 1000.0, -1000.0, 1e-45, -1e-45, 1.2e-38,
+                 0.0, -0.0, 10.0, -10.0]
+
+
+@st.composite
+def _vct_file(draw, side):
+    """One .vct file for a 2-class head of the given side: usually well
+    formed, sometimes with a wrong side, a wrong channel count, a truncated
+    payload or a bad magic; a few values drawn from the float32 extremes."""
+    c, h = 21, side
+    shape = draw(st.sampled_from(["ok"] * 6 + ["side", "channels"]))
+    if shape == "side":
+        h = draw(st.sampled_from([0, side - 1, side + 1]))
+    elif shape == "channels":
+        c = draw(st.sampled_from([0, 18, 20, 24]))
+    vals = np.zeros((c, h, h), dtype="<f4")
+    if vals.size:
+        for _ in range(draw(st.integers(0, 8))):
+            at = (draw(st.integers(0, c - 1)), draw(st.integers(0, h - 1)),
+                  draw(st.integers(0, h - 1)))
+            vals[at] = draw(st.sampled_from(_F32_EXTREMES))
+    data = struct.pack("<4sIII", b"VCT1", c, h, h) + vals.tobytes()
+    damage = draw(st.sampled_from(["none"] * 6 + ["truncate", "magic"]))
+    if damage == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == "magic":
+        data = draw(st.sampled_from([b"VCT2", b"\0\0\0\0", b"vct1"])) + data[4:]
+    return data
+
+
+class TestDecodeExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(files=st.tuples(_vct_file(1), _vct_file(2), _vct_file(4)),
+           score=st.sampled_from(["0", "0.001", "0.3"]),
+           objectness=st.sampled_from(["0", "0.3"]))
+    def test_exit_code_is_0_or_2_and_no_traceback(self, files, score, objectness):
+        with tempfile.TemporaryDirectory() as work:
+            tensors = os.path.join(work, "t")
+            os.mkdir(tensors)
+            for suffix, data in zip(cli.SCALE_SUFFIXES, files):
+                with open(os.path.join(tensors, "tile" + suffix), "wb") as fh:
+                    fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(["decode", "--tensors-dir", tensors,
+                               "--out-dir", os.path.join(work, "o"), "--input-size", "32",
+                               "--score-threshold", score,
+                               "--objectness-threshold", objectness])
+            assert rc in (0, 2)
+            assert "Traceback" not in err.getvalue()
+            if rc == 2:
+                assert err.getvalue().startswith("error: ")
 
 
 def label_line(cls, cx, cy, w, h):

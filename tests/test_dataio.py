@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vceval.boxes import BoundingBox, Detection, GroundTruthBox
+from vceval import boxes, dataio
+from vceval.boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox
 from vceval.dataio import (
     MAX_TENSOR_ELEMENTS,
     TENSOR_MAGIC,
@@ -33,7 +34,7 @@ from vceval.errors import (
 )
 from vceval.netops import RawHeadTensor
 
-from oracles import parse_detections_ref
+from oracles import parse_detections_ref, write_detections_ref
 
 
 class TestLabelFormat:
@@ -400,3 +401,50 @@ class TestDetectionParserAgainstOracle:
         assert len(parse_detection_file("")) == 0 and parse_detection_file("# x\n") == []
         with pytest.raises(IndexError):
             dets[2]
+
+
+# --- columnar detection writer against the per-object oracle ---------------
+
+# values whose six-decimal text is easy to get wrong: signed zero, the
+# smallest subnormal, large magnitudes, and ties at the sixth decimal
+_AWKWARD_FLOATS = [0.0, -0.0, 1.0, 5e-324, -5e-324, 1e17, -1e17, 2.5e-7, 0.0000005,
+                   0.0000015, -0.0000005, 0.1234565, 1.0000005, 2.675, 1e-6, 1e300]
+_FLOATS = st.one_of(st.sampled_from(_AWKWARD_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False, width=64))
+_SCORES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.5e-7, 0.0000005, 0.9999995]),
+                    st.floats(0.0, 1.0))
+_CLASS_IDS = st.one_of(st.sampled_from([0, 1, 2**62, 2**63 - 2, 2**63 - 1]),
+                       st.integers(0, 2**63 - 1))
+
+
+class TestDetectionWriterAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_CLASS_IDS, _SCORES, _FLOATS, _FLOATS, _FLOATS, _FLOATS),
+                         max_size=8))
+    def test_columns_write_the_oracle_bytes(self, rows):
+        cols = DetectionArrays(
+            np.array([r[1] for r in rows], dtype=np.float64),
+            np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4),
+        )
+        assert write_detection_file(cols) == write_detections_ref(rows)
+
+    def test_objects_write_the_same_bytes_as_their_columns(self):
+        rng = random.Random(79)
+        dets = [
+            Detection(BoundingBox(rng.choice([-0.0, 2.5e-7, rng.uniform(-50, 500)]),
+                                  rng.uniform(-50, 500), rng.choice([5e-324, 1e17, 41.6]),
+                                  rng.uniform(0.01, 80)),
+                      class_id=rng.choice([0, 3, 2**63 - 1]),
+                      score=rng.choice([1.0, 0.0000005, rng.random()]))
+            for _ in range(50)
+        ]
+        rows = [(d.class_id, d.score, d.box.x_min, d.box.y_min, d.box.width, d.box.height)
+                for d in dets]
+        text = write_detection_file(dets)
+        assert text == write_detections_ref(rows)
+        assert text == write_detection_file(DetectionArrays.of(dets))
+        assert write_detection_file([]) == ""
+
+    def test_columns_live_in_boxes(self):
+        assert dataio.DetectionArrays is boxes.DetectionArrays

@@ -4,8 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from vceval.errors import EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
-from vceval.boxes import BoundingBox, GroundTruthBox
+from vceval.errors import (
+    DegenerateBox,
+    EmptyInput,
+    FormatError,
+    NotMultipleOf32,
+    OutOfBounds,
+    ShapeMismatch,
+)
+from vceval.boxes import BoundingBox, DetectionArrays, GroundTruthBox
 from vceval.netops import (
     ANCHORS_PER_SCALE,
     DEFAULT_ANCHORS,
@@ -188,7 +195,15 @@ class TestDecodeHead:
             raw = vals.reshape(3, 5 + k, h, w)
             anchors = [(a.p_w, a.p_h) for a in self.ANCHORS]
             want = decode_ref(raw, anchors, 32, 0.2, 0.1)
+            assert isinstance(got, DetectionArrays)
             assert len(got) == len(want)
+            if want:
+                x, y, bw, bh, score, cid = map(np.array, zip(*want))
+                np.testing.assert_allclose(got.xywh, np.stack([x, y, bw, bh], 1), rtol=0, atol=1e-9)
+                np.testing.assert_allclose(got.xyxy, np.stack([x, y, x + bw, y + bh], 1),
+                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose(got.score, score, rtol=0, atol=1e-12)
+                assert got.class_id.tolist() == cid.tolist()
             for d, (x, y, bw, bh, score, cid) in zip(got, want):
                 assert d.box.x_min == pytest.approx(x, abs=1e-9)
                 assert d.box.y_min == pytest.approx(y, abs=1e-9)
@@ -209,6 +224,21 @@ class TestDecodeHead:
         assert len(loose) == 1
         gated = decode_head(tensor, self.ANCHORS, 32, 0.26, objectness_threshold=0.30)
         assert gated == []
+
+    @pytest.mark.parametrize("t_w, reason", [
+        (1000.0, "x_min must be finite"),
+        (3.4e38, "x_min must be finite"),
+        (-1000.0, "width and height must be > 0"),
+        (-3.4e38, "width and height must be > 0"),
+    ])
+    def test_degenerate_box_is_a_format_error(self, t_w, reason):
+        # pytest turns a RuntimeWarning (e.g. overflow in exp) into an error
+        vals = np.zeros((18, 2, 2))
+        vals[4 + 6, 1, 0] = 10.0   # anchor 1 objectness
+        vals[2 + 6, 1, 0] = t_w
+        with pytest.raises(DegenerateBox, match=f"decoded detection 0: {reason}") as err:
+            decode_head(RawHeadTensor(vals), self.ANCHORS, 32, 0.3)
+        assert isinstance(err.value, FormatError)
 
     def test_anchor_count_enforced(self):
         tensor = RawHeadTensor(np.zeros((18, 1, 1)))
