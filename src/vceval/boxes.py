@@ -132,7 +132,9 @@ class DetectionArrays(RecordArrays):
         self.score = score
         self.class_id = class_id
         self.xywh = xywh
-        self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+        # a corner past the float range is inf, as BoundingBox.x_max gives it
+        with np.errstate(over="ignore"):
+            self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
 
     @classmethod
     def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
