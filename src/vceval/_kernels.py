@@ -135,7 +135,14 @@ def nms_keep(boxes, classes, order, iou_threshold):
         ix2 = np.minimum(x2[i], x2[j])
         iy2 = np.minimum(y2[i], y2[j])
         inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
-        union = areas[i] + areas[j] - inter
+        with np.errstate(over="ignore"):
+            union = areas[i] + areas[j] - inter
+        # two areas near the float limit: take the ratio at half scale,
+        # where halving is exact
+        big = np.isinf(union)
+        if big.any():
+            inter[big] *= 0.5
+            union[big] = 0.5 * areas[i[big]] + 0.5 * areas[j[big]] - inter[big]
         iou = np.zeros_like(inter)
         np.divide(inter, union, out=iou, where=union > 0.0)
         hit = iou >= iou_threshold

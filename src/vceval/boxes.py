@@ -7,10 +7,10 @@ are converted at module boundaries.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,8 @@ from . import _kernels
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Corner + size box. Width and height are strictly positive."""
+    """Corner + size box. Width and height are strictly positive, and
+    every field and the area are finite."""
 
     x_min: float
     y_min: float
@@ -28,11 +29,16 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
+        w, h = self.width, self.height
+        # with sides > 0, a finite area implies finite sides
+        if w > 0 and h > 0 and isfinite(w * h) and isfinite(self.x_min) and isfinite(self.y_min):
+            return
         for name in ("x_min", "y_min", "width", "height"):
-            if not math.isfinite(getattr(self, name)):
+            if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.width <= 0 or self.height <= 0:
+        if w <= 0 or h <= 0:
             raise ValueError("width and height must be > 0")
+        raise ValueError("box area must be finite")
 
     @property
     def x_max(self) -> float:
@@ -169,6 +175,16 @@ class DetectionArrays(RecordArrays):
             class_id=int(self.class_id[i]),
             score=float(self.score[i]),
         )
+
+
+def valid_detections(score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> np.ndarray:
+    """The rows that make a valid Detection, as a boolean mask: class >= 0,
+    score in [0, 1], finite x_min, y_min, width and height, sides > 0 and a
+    finite area. No numpy warning escapes for any input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = xywh[:, 2] * xywh[:, 3]
+    return ((class_id >= 0) & (score >= 0.0) & (score <= 1.0) & (xywh[:, 2:] > 0.0).all(axis=1)
+            & np.isfinite(xywh).all(axis=1) & np.isfinite(area))
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -10,6 +10,7 @@ or missing input data, 3 configuration violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import json
@@ -33,7 +34,7 @@ from .dataio import (
     write_detection_file,
     write_label_file,
 )
-from .errors import ConfigError, FormatError, ShapeMismatch, VCEvalError
+from .errors import ConfigError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from .netops import AnchorBox, decode_head, grid_shape
 from .tiler import (
@@ -76,12 +77,23 @@ def _read_text(path: str) -> str:
         raise VCEvalError(f"{path} is not UTF-8 text") from None
 
 
-def _parse_file(path: str, parse):
-    """parse(text of path), with the path named in a format error."""
+@contextlib.contextmanager
+def _naming(path: str):
+    """Name ``path`` in any data error raised inside the block; a
+    configuration error passes unchanged."""
     try:
-        return parse(_read_text(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        yield
+    except ConfigError:
+        raise
+    except VCEvalError as exc:
+        raise VCEvalError(f"{path}: {exc}") from None
+
+
+def _parse_file(path: str, parse):
+    """parse(text of path), with the path named in a data error."""
+    text = _read_text(path)
+    with _naming(path):
+        return parse(text)
 
 
 def _echo_config(out_dir: str, config: HarnessConfig) -> None:
@@ -102,17 +114,22 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
     if tile_size <= 0 or tile_size % 32 != 0:
         raise ConfigError(f"tile size {tile_size} is not a positive multiple of 32")
     images = _parse_file(args.manifest, read_image_manifest)
+    layouts = []
+    for entry in images:
+        with _naming(f"{args.manifest}: image {entry.image_id}"):
+            layouts.append(plan_tiles(entry.width, entry.height, tile_size, args.policy))
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_rows = []
     kept = total = 0
-    for entry in images:
+    for entry, layout in zip(images, layouts):
         label_path = os.path.join(args.labels_dir, entry.image_id + ".txt")
         if os.path.exists(label_path):
-            gts = parse_label_file(_read_text(label_path), entry.width, entry.height)
+            gts = _parse_file(
+                label_path, lambda text: parse_label_file(text, entry.width, entry.height)
+            )
         else:
             gts = []
         total += len(gts)
-        layout = plan_tiles(entry.width, entry.height, tile_size, args.policy)
         for ref in layout.tiles():
             tile_id = make_tile_id(entry.image_id, ref.row, ref.col)
             local = []
@@ -136,23 +153,23 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
 
 
 def _manifest_ids(content: str) -> list[str]:
-    first = content.splitlines()[0].strip() if content.strip() else ""
-    if first.startswith("tile_id"):
+    if content.lstrip().startswith("tile_id"):
         return [tile_id for tile_id, _, _ in read_tile_manifest(content)]
     return [img.image_id for img in read_image_manifest(content)]
 
 
 def cmd_split(args: argparse.Namespace, config: HarnessConfig) -> int:
     ids = _parse_file(args.manifest, _manifest_ids)
-    seed = args.seed if args.seed is not None else config.seed
     if args.ratio_train <= 0 or args.ratio_test <= 0:
         raise ConfigError("split ratios must be positive")
-    split = split_dataset(ids, args.ratio_train, args.ratio_test, seed)
+    with _naming(args.manifest):
+        split = split_dataset(ids, args.ratio_train, args.ratio_test, config.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_text(os.path.join(args.out_dir, "train.txt"), "".join(i + "\n" for i in split.train))
     _write_text(os.path.join(args.out_dir, "test.txt"), "".join(i + "\n" for i in split.test))
     _echo_config(args.out_dir, config)
-    print(f"split {len(ids)} id(s) into {len(split.train)} train / {len(split.test)} test (seed {seed})")
+    print(f"split {len(ids)} id(s) into {len(split.train)} train / {len(split.test)} test "
+          f"(seed {config.seed})")
     return 0
 
 
@@ -187,23 +204,20 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
                 raise VCEvalError(f"{stem}: missing scale file {stem + suffix}")
             with open(path, "rb") as fh:
                 data = fh.read()
-            try:
+            with _naming(path):
                 tensor = read_tensor(data)
-            except FormatError as exc:
-                raise FormatError(f"{stem + suffix}: {exc}") from None
-            side = grids[scale_idx]
-            if tensor.height != side or tensor.width != side:
-                raise ShapeMismatch(
-                    f"{stem + suffix}: grid {tensor.height}x{tensor.width}, "
-                    f"expected {side}x{side} for input size {config.input_size}"
-                )
-            if tensor.num_classes != len(config.class_names):
-                raise ShapeMismatch(
-                    f"{stem + suffix}: {tensor.num_classes} classes in tensor, "
-                    f"config names {len(config.class_names)}"
-                )
-            anchors = [AnchorBox(w, h) for w, h in anchor_sets[scale_idx]]
-            try:
+                side = grids[scale_idx]
+                if tensor.height != side or tensor.width != side:
+                    raise ShapeMismatch(
+                        f"grid {tensor.height}x{tensor.width}, expected "
+                        f"{side}x{side} for input size {config.input_size}"
+                    )
+                if tensor.num_classes != len(config.class_names):
+                    raise ShapeMismatch(
+                        f"{tensor.num_classes} classes in tensor, "
+                        f"config names {len(config.class_names)}"
+                    )
+                anchors = [AnchorBox(w, h) for w, h in anchor_sets[scale_idx]]
                 parts.append(
                     decode_head(
                         tensor,
@@ -213,8 +227,6 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
                         objectness_threshold=config.objectness_threshold,
                     )
                 )
-            except FormatError as exc:
-                raise FormatError(f"{stem + suffix}: {exc}") from None
         survivors = nms(DetectionArrays.concat(parts), config.nms_iou_threshold)
         _write_text(
             os.path.join(args.out_dir, stem + ".det.txt"),
@@ -331,13 +343,14 @@ def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, config: HarnessConfig) -> int:
-    table = statsmod.load_observation_table(_read_text(args.observations), args.metric)
-    report = statsmod.compare_pipeline(
-        table,
-        alpha=config.alpha,
-        normality_scope=config.normality_scope,
-        posthoc=config.posthoc,
-    )
+    text = _read_text(args.observations)
+    with _naming(args.observations):
+        report = statsmod.compare_pipeline(
+            statsmod.load_observation_table(text, args.metric),
+            alpha=config.alpha,
+            normality_scope=config.normality_scope,
+            posthoc=config.posthoc,
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     payload = statsmod.report_to_dict(report)
     payload["metric"] = args.metric
@@ -359,9 +372,8 @@ def cmd_compare(args: argparse.Namespace, config: HarnessConfig) -> int:
     return 0
 
 
-def _comparison_lines(path: str) -> list[str]:
+def _comparison_lines(content: str) -> list[str]:
     """Report lines for one comparison JSON as written by `compare`."""
-    content = _read_text(path)
     try:
         data = json.loads(content)
         omnibus = data["omnibus"]
@@ -375,16 +387,15 @@ def _comparison_lines(path: str) -> list[str]:
                 f"  {mark} {c['level_a']} vs {c['level_b']}: diff={c['difference']:+.6f} "
                 f"p={c['p_value']:.6f}"
             )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise VCEvalError(
-            f"{path} is not a comparison file written by compare "
-            f"({type(exc).__name__}: {exc})"
+            f"not a comparison file written by compare ({type(exc).__name__}: {exc})"
         ) from None
     return lines
 
 
 def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
-    by_metric = statsmod.parse_observations(_read_text(args.observations))
+    by_metric = _parse_file(args.observations, statsmod.parse_observations)
     lines = [f"observation summary ({args.observations})", ""]
     for metric in sorted(by_metric):
         lines.append(f"metric {metric}:")
@@ -395,7 +406,7 @@ def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
             lines.append(f"  group {group}: n={len(vals)} mean={mean:.6f} sd={sd:.6f}")
         lines.append("")
     for path in args.comparisons or []:
-        lines.extend(_comparison_lines(path))
+        lines.extend(_parse_file(path, _comparison_lines))
         lines.append("")
     text = "\n".join(lines).rstrip() + "\n"
     if args.out:
@@ -406,7 +417,12 @@ def cmd_report(args: argparse.Namespace, config: HarnessConfig) -> int:
     return 0
 
 
+def _comma_list(value: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in value.split(",") if n.strip())
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags whose ``dest`` is a HarnessConfig field override that field."""
     parser.add_argument("--config", help=f"JSON config path (default: ${CONFIG_ENV_VAR})")
     parser.add_argument("--input-size", type=int, dest="input_size")
     parser.add_argument("--score-threshold", type=float, dest="score_threshold")
@@ -415,19 +431,12 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-iou-threshold", type=float, dest="eval_iou_threshold")
     parser.add_argument("--min-visibility", type=float, dest="min_visibility")
     parser.add_argument("--alpha", type=float, dest="alpha")
-    parser.add_argument("--class-names", dest="class_names",
+    parser.add_argument("--class-names", dest="class_names", type=_comma_list,
                         help="comma-separated class names")
     parser.add_argument("--normality-scope", dest="normality_scope",
                         choices=["pooled", "per-group"])
     parser.add_argument("--posthoc", dest="posthoc",
                         choices=["always", "on-significant"])
-
-
-_OVERRIDE_KEYS = (
-    "input_size", "score_threshold", "objectness_threshold", "nms_iou_threshold",
-    "eval_iou_threshold", "min_visibility", "alpha", "class_names",
-    "normality_scope", "posthoc",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,25 +511,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {}
-        for key in _OVERRIDE_KEYS:
-            value = getattr(args, key, None)
-            if value is None:
-                continue
-            if key == "class_names":
-                value = tuple(n.strip() for n in value.split(",") if n.strip())
-            overrides[key] = value
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        config = load_config(getattr(args, "config", None), overrides)
+        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
+        overrides = {k: v for k, v in vars(args).items() if k in fields}
+        config = load_config(args.config, overrides)
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except VCEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VCEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

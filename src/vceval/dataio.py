@@ -23,11 +23,11 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, clip_to
+from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, clip_to, valid_detections
 from .errors import (
     BadMagic,
     EmptyDataset,
@@ -94,6 +94,13 @@ def _lines(content: str) -> Iterable[tuple[int, str]]:
         yield line_no, line
 
 
+def _check_class_id(line_no: int, class_id: int) -> None:
+    if class_id < 0:
+        raise MalformedLine(line_no, f"negative class id {class_id}")
+    if class_id > _INT64_MAX:
+        raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
+
+
 def parse_label_file(content: str, image_w: int, image_h: int) -> list[GroundTruthBox]:
     """Parse normalized center-format labels into pixel corner-format boxes.
 
@@ -111,20 +118,22 @@ def parse_label_file(content: str, image_w: int, image_h: int) -> list[GroundTru
             cx, cy, w, h = (float(p) for p in parts[1:])
         except ValueError:
             raise MalformedLine(line_no, "non-numeric field") from None
-        if class_id < 0:
-            raise MalformedLine(line_no, f"negative class id {class_id}")
+        _check_class_id(line_no, class_id)
         for name, v in (("cx", cx), ("cy", cy)):
             if not 0.0 <= v <= 1.0:
                 raise OutOfRange(line_no, f"{name}={v:g} outside [0, 1]")
         for name, v in (("w", w), ("h", h)):
             if not 0.0 < v <= 1.0:
                 raise OutOfRange(line_no, f"{name}={v:g} outside (0, 1]")
-        box = BoundingBox(
-            x_min=(cx - w / 2.0) * image_w,
-            y_min=(cy - h / 2.0) * image_h,
-            width=w * image_w,
-            height=h * image_h,
-        )
+        try:
+            box = BoundingBox(
+                x_min=(cx - w / 2.0) * image_w,
+                y_min=(cy - h / 2.0) * image_h,
+                width=w * image_w,
+                height=h * image_h,
+            )
+        except ValueError as exc:
+            raise OutOfRange(line_no, str(exc)) from None
         clipped = clip_to(box, image_w, image_h)
         if clipped is not None:
             out.append(GroundTruthBox(box=clipped, class_id=class_id))
@@ -155,10 +164,7 @@ def _check_detection_line(line_no: int, parts: list[str]) -> None:
         score, *box = (float(p) for p in parts[1:])
     except ValueError:
         raise MalformedLine(line_no, "non-numeric field") from None
-    if class_id < 0:
-        raise MalformedLine(line_no, f"negative class id {class_id}")
-    if class_id > _INT64_MAX:
-        raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
+    _check_class_id(line_no, class_id)
     if not 0.0 <= score <= 1.0:
         raise ScoreOutOfRange(line_no, score)
     if box[2] <= 0 or box[3] <= 0:
@@ -166,6 +172,8 @@ def _check_detection_line(line_no: int, parts: list[str]) -> None:
     for name, v in zip(("x_min", "y_min", "width", "height"), box):
         if not math.isfinite(v):
             raise OutOfRange(line_no, f"{name} must be finite")
+    if not math.isfinite(box[2] * box[3]):
+        raise OutOfRange(line_no, "box area must be finite")
 
 
 def parse_detection_file(content: str) -> DetectionArrays:
@@ -191,13 +199,7 @@ def parse_detection_file(content: str) -> DetectionArrays:
         pass  # a field count, a field or a class id is bad; the scan below finds it
     else:
         score, xywh = values[:, 0], values[:, 1:]
-        ok = (
-            (class_id >= 0)
-            & (score >= 0.0)
-            & (score <= 1.0)
-            & (xywh[:, 2:] > 0.0).all(axis=1)
-            & np.isfinite(xywh).all(axis=1)
-        )
+        ok = valid_detections(score, class_id, xywh)
         if ok.all():
             return DetectionArrays(score.copy(), class_id, xywh.copy())
         first_bad = int(np.argmin(ok))
@@ -276,36 +278,49 @@ def split_dataset(
     )
 
 
-def read_image_manifest(content: str) -> list[AnnotatedImage]:
-    """CSV of image_id,width,height (header required); ground truths are
-    attached separately from label files."""
+def read_csv_table(content: str, what: str) -> tuple[int, list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of a CSV text, stripped, with its line number, and the
+    ``(line number, fields)`` of each later row. Blank rows are skipped but
+    counted, so line numbers are those of the text. A row with another field
+    count than the header raises MalformedLine when the iteration reaches
+    it; an empty text gives line 0 and an empty header."""
+    reader = csv.reader(io.StringIO(content))
     try:
-        rows = [
-            row for row in csv.reader(io.StringIO(content))
-            if row and any(f.strip() for f in row)
-        ]
+        rows = [(reader.line_num, row) for row in reader if any(f.strip() for f in row)]
     except csv.Error as exc:
-        raise UnreadableCSV(f"image manifest is not readable CSV: {exc}") from None
+        raise UnreadableCSV(f"{what} is not readable CSV: {exc}") from None
     if not rows:
+        return 0, [], iter(())
+    (header_line, header), rows = rows[0], rows[1:]
+    header = [f.strip() for f in header]
+
+    def body():
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise MalformedLine(line_no, f"expected {len(header)} fields, got {len(row)}")
+            yield line_no, row
+
+    return header_line, header, body()
+
+
+def read_image_manifest(content: str) -> list[AnnotatedImage]:
+    """CSV of image_id,width,height (header required, ids unique); ground
+    truths are attached separately from label files."""
+    header_line, header, rows = read_csv_table(content, "image manifest")
+    if not header:
         raise EmptyDataset("manifest has no rows")
-    header = [f.strip() for f in rows[0]]
     if header != ["image_id", "width", "height"]:
-        raise MalformedLine(1, f"bad manifest header {header}")
-    images = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise MalformedLine(line_no, f"expected 3 fields, got {len(row)}")
+        raise MalformedLine(header_line, f"bad manifest header {header}")
+    images = {}
+    for line_no, (image_id, width, height) in rows:
         try:
-            images.append(
-                AnnotatedImage(
-                    image_id=row[0].strip(),
-                    width=int(row[1]),
-                    height=int(row[2]),
-                )
-            )
+            image = AnnotatedImage(image_id.strip(), int(width), int(height))
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
-    return images
+        if image.image_id in images:
+            raise MalformedLine(line_no, f"duplicate image id {image.image_id!r}")
+        images[image.image_id] = image
+    return list(images.values())
 
 
 def write_image_manifest(images: Sequence[AnnotatedImage]) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import sigmoid
-from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox
+from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, valid_detections
 from .errors import DegenerateBox, EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
 
 ANCHORS_PER_SCALE = 3
@@ -222,22 +222,15 @@ def decode_head(
         float(objectness_threshold),
     )
     score = np.minimum(scores, 1.0)
-    # what BoundingBox and Detection check, over all rows at once; the
-    # corners of a bad box are not formed, so no overflow warning escapes
-    ok = (
-        np.isfinite(xywh).all(axis=1)
-        & (xywh[:, 2:] > 0.0).all(axis=1)
-        & (class_ids >= 0)
-        & (score >= 0.0)
-        & (score <= 1.0)
-    )
+    # the corners of a bad box are not formed, so no overflow warning escapes
+    ok = valid_detections(score, class_ids, xywh)
     if not ok.all():
         i = int(np.argmin(ok))
         try:
             Detection(BoundingBox(*xywh[i].tolist()), int(class_ids[i]), float(score[i]))
         except ValueError as exc:
             raise DegenerateBox(f"decoded detection {i}: {exc}") from None
-        raise AssertionError("the vectorised box checks disagree with Detection's")
+        raise AssertionError("valid_detections disagrees with Detection")
     return DetectionArrays(score, class_ids, xywh)
 
 

@@ -10,25 +10,29 @@ module.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 from . import distributions as dist
+from .dataio import read_csv_table
 from .errors import (
     AllValuesEqual,
     EmptyDataset,
     MalformedLine,
     TooFewSamples,
     TooManySamples,
-    UnreadableCSV,
     ZeroVariance,
     ZeroWithinVariance,
 )
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
+# the battery squares and sums deviations; within this magnitude the sums
+# over 5000 observations stay finite
+MAX_OBSERVATION = 1e150
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def _poly(coeffs: Sequence[float], x: float) -> float:
 
 
 def shapiro_wilk(samples: Sequence[float]) -> TestResult:
-    """W statistic and Royston-approximation p-value for 3 <= n <= 50.
+    """W statistic and Royston-approximation p-value for 3 <= n <= 5000,
+    the range of the AS R94 algorithm.
 
     The coefficient vector comes from Blom plotting-position scores with
     polynomial end corrections; n = 3 has the exact arcsine p-value.
@@ -146,8 +151,8 @@ def shapiro_wilk(samples: Sequence[float]) -> TestResult:
     n = len(x)
     if n < 3:
         raise TooFewSamples(f"need at least 3 observations, got {n}")
-    if n > 50:
-        raise TooManySamples(f"approximation holds up to n = 50, got {n}")
+    if n > 5000:
+        raise TooManySamples(f"approximation holds up to n = 5000, got {n}")
     if not all(math.isfinite(v) for v in x):
         raise ValueError("observations must be finite")
     mean = sum(x) / n
@@ -441,29 +446,20 @@ def parse_observations(
 
     Requires columns metric, group, value (extra columns such as run_id are
     ignored); metrics and groups keep the order of first appearance. Values
-    must be finite numbers. With `metric`, rows of other metrics are skipped
-    without being parsed.
+    must be finite, of magnitude at most MAX_OBSERVATION. With `metric`, rows
+    of other metrics are skipped without being parsed.
     """
-    try:
-        rows = [
-            row for row in csv.reader(io.StringIO(content))
-            if row and any(f.strip() for f in row)
-        ]
-    except csv.Error as exc:
-        raise UnreadableCSV(f"observation file is not readable CSV: {exc}") from None
-    if not rows:
+    header_line, header, rows = read_csv_table(content, "observation file")
+    if not header:
         raise EmptyDataset("observation file has no rows")
-    header = [f.strip() for f in rows[0]]
     try:
         m_col = header.index("metric")
         g_col = header.index("group")
         v_col = header.index("value")
     except ValueError:
-        raise MalformedLine(1, f"header {header} lacks metric/group/value") from None
+        raise MalformedLine(header_line, f"header {header} lacks metric/group/value") from None
     by_metric: dict[str, dict[str, list[float]]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise MalformedLine(line_no, f"expected {len(header)} fields, got {len(row)}")
+    for line_no, row in rows:
         name = row[m_col].strip()
         if metric is not None and name != metric:
             continue
@@ -471,8 +467,8 @@ def parse_observations(
             value = float(row[v_col])
         except ValueError:
             raise MalformedLine(line_no, f"bad value {row[v_col]!r}") from None
-        if not math.isfinite(value):
-            raise MalformedLine(line_no, f"non-finite value {row[v_col]!r}")
+        if not abs(value) <= MAX_OBSERVATION:
+            raise MalformedLine(line_no, f"value {row[v_col]!r} not within ±{MAX_OBSERVATION:g}")
         by_metric.setdefault(name, {}).setdefault(row[g_col].strip(), []).append(value)
     return by_metric
 
@@ -489,35 +485,7 @@ def load_observation_table(content: str, metric: str) -> ObservationTable:
 
 def report_to_dict(report: ComparisonReport) -> dict:
     """JSON-ready view of a comparison report."""
-
-    def test(t: TestResult) -> dict:
-        return {
-            "statistic": t.statistic,
-            "p_value": t.p_value,
-            "df": list(t.df),
-            "method": t.method,
-        }
-
-    return {
-        "alpha": report.alpha,
-        "branch": report.branch,
-        "normality": {label: test(t) for label, t in report.normality.items()},
-        "omnibus": test(report.omnibus),
-        "posthoc": [
-            {
-                "level_a": c.level_a,
-                "level_b": c.level_b,
-                "difference": c.difference,
-                "std_err_diff": c.std_err_diff,
-                "statistic": c.statistic,
-                "p_value": c.p_value,
-                "significant_at_alpha": c.significant_at_alpha,
-                "lower_cl": c.lower_cl,
-                "upper_cl": c.upper_cl,
-            }
-            for c in report.posthoc
-        ],
-    }
+    return dataclasses.asdict(report)
 
 
 def write_posthoc_csv(report: ComparisonReport) -> str:

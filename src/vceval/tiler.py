@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boxes import BoundingBox, GroundTruthBox, clip_to
-from .errors import MalformedLine, NotMultipleOf32, TileLargerThanImage, UnreadableCSV
+from .dataio import read_csv_table
+from .errors import MalformedLine, NotMultipleOf32, ShapeOverflow, TileLargerThanImage
 
 PAD_EDGE = "pad-edge"
 DROP_PARTIAL = "drop-partial"
 PADDING_POLICIES = (PAD_EDGE, DROP_PARTIAL)
+# a 5472x3648 frame cut at 32 px takes 19,494 tiles
+MAX_TILES_PER_IMAGE = 2**16
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ def plan_tiles(
 
     pad-edge takes the ceiling of each axis ratio so every source pixel is
     covered; drop-partial takes the floor and refuses images too small to
-    hold even one full tile.
+    hold even one full tile. A grid of more than MAX_TILES_PER_IMAGE tiles
+    is refused before any tile exists.
     """
     if source_w <= 0 or source_h <= 0:
         raise ValueError("source dimensions must be positive")
@@ -76,8 +79,8 @@ def plan_tiles(
     if padding_policy not in PADDING_POLICIES:
         raise ValueError(f"unknown padding policy {padding_policy!r}")
     if padding_policy == PAD_EDGE:
-        columns = math.ceil(source_w / tile_size)
-        rows = math.ceil(source_h / tile_size)
+        columns = -(-source_w // tile_size)
+        rows = -(-source_h // tile_size)
     else:
         columns = source_w // tile_size
         rows = source_h // tile_size
@@ -85,6 +88,8 @@ def plan_tiles(
             raise TileLargerThanImage(
                 f"no {tile_size}px tile fits inside {source_w}x{source_h}"
             )
+    if columns * rows > MAX_TILES_PER_IMAGE:
+        raise ShapeOverflow(f"a {tile_size}px grid needs more than {MAX_TILES_PER_IMAGE} tiles")
     return TileLayout(
         source_w=source_w,
         source_h=source_h,
@@ -146,30 +151,22 @@ def write_tile_manifest(entries: Sequence[tuple[str, TileRef, int]]) -> str:
 
 
 def read_tile_manifest(content: str) -> list[tuple[str, TileRef, int]]:
-    try:
-        rows = [
-            row for row in csv.reader(io.StringIO(content))
-            if row and any(f.strip() for f in row)
-        ]
-    except csv.Error as exc:
-        raise UnreadableCSV(f"tile manifest is not readable CSV: {exc}") from None
-    if not rows:
+    """Rows of a tile manifest as written by write_tile_manifest; tile ids
+    must be unique."""
+    header_line, header, rows = read_csv_table(content, "tile manifest")
+    if not header:
         return []
-    expected = ["tile_id", "row", "col", "origin_x", "origin_y", "tile_size"]
-    if [f.strip() for f in rows[0]] != expected:
-        raise MalformedLine(1, f"bad tile manifest header {rows[0]}")
-    out = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 6:
-            raise MalformedLine(line_no, f"expected 6 fields, got {len(row)}")
+    if header != ["tile_id", "row", "col", "origin_x", "origin_y", "tile_size"]:
+        raise MalformedLine(header_line, f"bad tile manifest header {header}")
+    out = {}
+    for line_no, (tile_id, row, col, origin_x, origin_y, tile_size) in rows:
         try:
-            ref = TileRef(
-                row=int(row[1]),
-                col=int(row[2]),
-                origin_x=int(row[3]),
-                origin_y=int(row[4]),
-            )
-            out.append((row[0].strip(), ref, int(row[5])))
+            ref = TileRef(int(row), int(col), int(origin_x), int(origin_y))
+            size = int(tile_size)
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
-    return out
+        tile_id = tile_id.strip()
+        if tile_id in out:
+            raise MalformedLine(line_no, f"duplicate tile id {tile_id!r}")
+        out[tile_id] = (tile_id, ref, size)
+    return list(out.values())

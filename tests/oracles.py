@@ -123,7 +123,8 @@ def parse_detections_ref(content):
     Returns (class_id, score, x_min, y_min, width, height) tuples and raises
     the format errors of the first bad line: field count, non-numeric field
     and negative class (MalformedLine), score outside [0, 1]
-    (ScoreOutOfRange), a side <= 0 or a non-finite box field (OutOfRange).
+    (ScoreOutOfRange), a side <= 0, a non-finite box field or a non-finite
+    area (OutOfRange).
     """
     from vceval.errors import MalformedLine, OutOfRange, ScoreOutOfRange
 
@@ -149,6 +150,8 @@ def parse_detections_ref(content):
         for name, v in (("x_min", x_min), ("y_min", y_min), ("width", width), ("height", height)):
             if not math.isfinite(v):
                 raise OutOfRange(line_no, f"{name} must be finite")
+        if not math.isfinite(width * height):
+            raise OutOfRange(line_no, "box area must be finite")
         out.append((class_id, score, x_min, y_min, width, height))
     return out
 

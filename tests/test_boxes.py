@@ -13,6 +13,7 @@ from vceval.boxes import (
     iou,
     iou_matrix,
     nms,
+    valid_detections,
 )
 
 from oracles import iou_ref, nms_ref
@@ -49,6 +50,42 @@ class TestBoundingBox:
             BoundingBox(float("nan"), 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BoundingBox(0.0, 0.0, float("inf"), 1.0)
+
+    def test_rejects_an_area_past_the_float_range(self):
+        with pytest.raises(ValueError, match="box area must be finite"):
+            BoundingBox(0.0, 0.0, 1e306, 1e306)
+        assert BoundingBox(0.0, 0.0, 1e306, 100.0).area == 1e308
+
+
+# rows (class_id, score, x_min, y_min, width, height) at the edges of each rule
+_EDGE_ROWS = [
+    (0, 0.5, 1.0, 2.0, 3.0, 4.0), (-1, 0.5, 1.0, 2.0, 3.0, 4.0), (2, 0.0, 0.0, 0.0, 1.0, 1.0),
+    (2, 1.0, -5.0, -5.0, 1e-320, 5e-324), (0, -0.0, 1.0, 1.0, 1.0, 1.0),
+    (0, 1.0000001, 1.0, 1.0, 1.0, 1.0), (0, float("nan"), 1.0, 1.0, 1.0, 1.0),
+    (0, 0.5, float("nan"), 1.0, 1.0, 1.0), (0, 0.5, 1.0, float("-inf"), 1.0, 1.0),
+    (0, 0.5, 1.0, 1.0, 0.0, 1.0), (0, 0.5, 1.0, 1.0, 1.0, -0.0), (0, 0.5, 1.0, 1.0, -2.0, -2.0),
+    (0, 0.5, 1.0, 1.0, float("inf"), 0.0), (0, 0.5, 1.0, 1.0, float("nan"), 1.0),
+    (0, 0.5, 1e308, 1e308, 1e308, 1e-300), (0, 0.5, 0.0, 0.0, 1e306, 100.0),
+    (0, 0.5, 0.0, 0.0, 1e306, 1e306), (0, 0.5, 0.0, 0.0, 1.7e308, 1.1),
+]
+
+
+def _is_detection(row):
+    class_id, score, *xywh = row
+    try:
+        Detection(BoundingBox(*xywh), class_id, score)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidDetections:
+    def test_mask_agrees_with_detection(self):
+        rows = np.array(_EDGE_ROWS)
+        # a numpy warning would fail the test (pytest's filterwarnings)
+        ok = valid_detections(rows[:, 1], rows[:, 0].astype(np.int64), rows[:, 2:])
+        assert ok.tolist() == [_is_detection(r) for r in _EDGE_ROWS]
+        assert ok.sum() == 6
 
 
 class TestDetectionAndGroundTruth:
@@ -193,6 +230,16 @@ class TestNMS:
             Detection(BoundingBox(0.0, 0.0, 10.0, 10.0), 1, 0.8),
         ]
         assert len(nms(dets, 0.45)) == 2
+
+    def test_union_past_the_float_range(self):
+        # each area is finite, the sum of two is not; the first two boxes are
+        # the same box, so one suppresses the other
+        huge = [BoundingBox(-5e153, -5e153, 1e154, 1.5e154),
+                BoundingBox(-5e153, -5e153, 1e154, 1.5e154),
+                BoundingBox(-5e153, 1e154, 1e154, 1.5e154)]
+        dets = [Detection(b, 0, s) for b, s in zip(huge, (0.9, 0.8, 0.7))]
+        kept = nms(dets, 0.45)
+        assert [d.score for d in kept] == [0.9, 0.7]
 
     def test_threshold_boundary_is_inclusive(self):
         # IoU exactly at the threshold suppresses

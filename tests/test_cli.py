@@ -1,6 +1,8 @@
 """End-to-end command tests driven through cli.main() against temp dirs."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vceval import cli
+from vceval.config import HarnessConfig
 from vceval.dataio import read_tensor, write_tensor
 from vceval.netops import RawHeadTensor
 from vceval.tiler import read_tile_manifest
@@ -167,6 +170,27 @@ class TestTile:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["100000000", "9" * 401])
+    def test_plan_beyond_the_cap_is_refused_before_any_write(self, tmp_path, capsys, width):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        (tmp_path / "images.csv").write_text(
+            f"image_id,width,height\nsmall,640,640\nbig,{width},100000000\n")
+        labels.joinpath("big.txt").write_text("not a label\n")
+        rc = cli.main(
+            [
+                "tile",
+                "--manifest", str(tmp_path / "images.csv"),
+                "--labels-dir", str(labels),
+                "--out-dir", str(tmp_path / "out"),
+                "--tile-size", "32",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'images.csv'}: image big: a 32px grid needs more than 65536" in err
+        assert not (tmp_path / "out").exists()
+
     def test_over_long_manifest_field_is_data_error(self, tmp_path, capsys):
         # 200k characters, over the csv module's default field limit
         make_manifest(tmp_path / "images.csv", [("x" * 200_000, 640, 640)])
@@ -183,6 +207,13 @@ class TestTile:
 
 
 class TestSplit:
+    def test_duplicate_id_is_data_error(self, tmp_path, capsys):
+        make_manifest(tmp_path / "images.csv", [("a", 640, 640), ("b", 640, 640), ("a", 1, 1)])
+        rc = cli.main(["split", "--manifest", str(tmp_path / "images.csv"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "images.csv: line 4: duplicate image id 'a'" in capsys.readouterr().err
+
     def test_split_files(self, tmp_path):
         make_manifest(tmp_path / "images.csv", [(f"i{k}", 640, 640) for k in range(10)])
         out = tmp_path / "split"
@@ -363,6 +394,20 @@ class TestDecode:
         assert "tile_h.s1.vct" in capsys.readouterr().err
 
 
+    def test_size_logits_near_700_are_data_error(self, tmp_path, capsys):
+        # each side is finite, about 1e306; their product is not
+        write_scale_tensors(tmp_path / "t", "tile_j", hot=(1, 0, 3, 3, 1))
+        path = tmp_path / "t" / "tile_j.s1.vct"
+        vals = read_tensor(path.read_bytes()).values
+        vals[2:4, 3, 3] = 700.0
+        path.write_bytes(write_tensor(RawHeadTensor(vals)))
+        rc = cli.main(
+            ["decode", "--tensors-dir", str(tmp_path / "t"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert (f"{path}: decoded detection 0: box area must be finite"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("t_w, reason", [
         (1000.0, "x_min must be finite"),
         (-1000.0, "width and height must be > 0"),
@@ -390,7 +435,8 @@ _F32_EXTREMES = [3.4e38, -3.4e38, 1000.0, -1000.0, 1e-45, -1e-45, 1.2e-38,
 def _vct_file(draw, side):
     """One .vct file for a 2-class head of the given side: usually well
     formed, sometimes with a wrong side, a wrong channel count, a truncated
-    payload or a bad magic; a few values drawn from the float32 extremes."""
+    payload or a bad magic; a few values drawn from the float32 extremes,
+    and a few size logits drawn from [600, 710]."""
     c, h = 21, side
     shape = draw(st.sampled_from(["ok"] * 6 + ["side", "channels"]))
     if shape == "side":
@@ -403,6 +449,11 @@ def _vct_file(draw, side):
             at = (draw(st.integers(0, c - 1)), draw(st.integers(0, h - 1)),
                   draw(st.integers(0, h - 1)))
             vals[at] = draw(st.sampled_from(_F32_EXTREMES))
+        # size logits whose exponential is finite but near the float64 limit
+        for _ in range(draw(st.integers(0, 4))):
+            at = (draw(st.sampled_from([k for k in (2, 3, 9, 10, 16, 17) if k < c])),
+                  draw(st.integers(0, h - 1)), draw(st.integers(0, h - 1)))
+            vals[at] = draw(st.floats(600.0, 710.0, width=32))
     data = struct.pack("<4sIII", b"VCT1", c, h, h) + vals.tobytes()
     damage = draw(st.sampled_from(["none"] * 6 + ["truncate", "magic"]))
     if damage == "truncate":
@@ -824,6 +875,240 @@ class TestReport:
         assert str(bad) in capsys.readouterr().err
 
 
+# --- exit codes of the file-reading commands on mutated inputs ---------------
+
+# fields that break some rule: empty, zero, negative, subnormal, out of a
+# unit range, huge but finite, non-finite, non-numeric, a stray quote, more
+# digits than any float holds, and a field over the csv module's 131072
+# character limit
+_BAD_FIELDS = ["", "0", "-1", "1e-320", "1.5", "1e306", "1e309", "nan", "-inf",
+               "x", '"', "9" * 401, "x" * 140_000]
+
+
+@st.composite
+def _mutated(draw, rows, sep):
+    """The text of ``rows`` (lists of fields joined by ``sep``), often after
+    a few edits: a field replaced, dropped or added, a blank or a repeated
+    line inserted; sometimes cut short."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["field", "field", "drop", "add", "blank", "repeat"]))
+        if edit == "field" and rows[at]:
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+        elif edit == "drop" and rows[at]:
+            rows[at].pop()
+        elif edit == "add":
+            rows[at].append(draw(st.sampled_from(_BAD_FIELDS)))
+        elif edit in ("blank", "repeat"):
+            rows.insert(at, [] if edit == "blank" else list(rows[at]))
+    text = "".join(sep.join(r) + "\n" for r in rows)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _csv(*rows):
+    return [r.split(",") for r in rows]
+
+
+def _lines(*rows):
+    return [r.split() for r in rows]
+
+
+_IMAGES = _csv("image_id,width,height", "a,640,480", "b,416,832")
+_TILES = _csv("tile_id,row,col,origin_x,origin_y,tile_size",
+              "t1,0,0,0,0,416", "t2,0,1,416,0,416", "t3,1,0,0,416,416")
+_LABELS = _lines("0 0.25 0.25 0.1 0.2", "1 0.9 0.9 0.4 0.4")
+_DETECTIONS = _lines("0 0.9 83.2 83.2 41.6 41.6", "1 0.4 300 300 120 120",
+                     "0 0.2 10 10 5 5")
+_OBSERVATIONS = _csv("run_id,metric,group,value",
+                     *(f"r{i},map30,{g},{0.1 * k + 0.01 * i ** 2}"
+                       for k, g in enumerate(("320", "416", "512")) for i in range(5)),
+                     "r0,f1max,320,0.5")
+_COMPARISON = {"metric": "map30", "branch": "parametric",
+               "omnibus": {"method": "one-way-anova", "p_value": 0.01},
+               "posthoc": [{"level_a": "416", "level_b": "320", "difference": 0.1,
+                            "p_value": 0.02, "significant_at_alpha": True}]}
+_COMPARISON_PATHS = [(), ("metric",), ("branch",), ("omnibus",), ("omnibus", "method"),
+                     ("omnibus", "p_value"), ("posthoc",), ("posthoc", 0),
+                     ("posthoc", 0, "level_a"), ("posthoc", 0, "difference"),
+                     ("posthoc", 0, "p_value"), ("posthoc", 0, "significant_at_alpha")]
+_BAD_JSON = [None, "x", [], {}, True, -1, 1e308, float("nan"), float("inf"), 10**401]
+
+
+@st.composite
+def _comparison_json(draw):
+    """A comparison file as compare writes it, often with a value replaced
+    or a key dropped, sometimes cut short."""
+    root = [json.loads(json.dumps(_COMPARISON))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        *parent, last = (0, *draw(st.sampled_from(_COMPARISON_PATHS)))
+        node = root
+        try:
+            for key in parent:
+                node = node[key]
+            if draw(st.booleans()) and isinstance(node, dict):
+                del node[last]
+            else:
+                node[last] = draw(st.sampled_from(_BAD_JSON))
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed the path
+    text = json.dumps(root[0])
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _write_files(work, files):
+    for name, text in files.items():
+        path = os.path.join(work, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _assert_clean_exit(work, argv):
+    """Run the command: exit 0, 2 or 3, never a traceback, and an exit 2
+    names a file under ``work``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([a.replace("{work}", work) for a in argv])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        first = err.getvalue().splitlines()[0]
+        assert first.startswith("error: ") and work in first, first
+
+
+class TestFileExitCodes:
+    @settings(max_examples=120, deadline=None)
+    @given(manifest=_mutated(_IMAGES, ","), label_a=_mutated(_LABELS, " "),
+           label_b=_mutated(_LABELS[:1], " "), size=st.sampled_from(["320", "416"]),
+           policy=st.sampled_from(["pad-edge", "drop-partial"]))
+    def test_tile(self, manifest, label_a, label_b, size, policy):
+        with tempfile.TemporaryDirectory() as work:
+            _write_files(work, {"images.csv": manifest, "labels/a.txt": label_a,
+                                "labels/b.txt": label_b})
+            _assert_clean_exit(work, ["tile", "--manifest", "{work}/images.csv",
+                                      "--labels-dir", "{work}/labels", "--out-dir",
+                                      "{work}/tiles", "--tile-size", size, "--policy", policy])
+
+    @settings(max_examples=120, deadline=None)
+    @given(manifest=st.one_of(_mutated(_IMAGES, ","), _mutated(_TILES, ",")))
+    def test_split(self, manifest):
+        with tempfile.TemporaryDirectory() as work:
+            _write_files(work, {"m.csv": manifest})
+            _assert_clean_exit(work, ["split", "--manifest", "{work}/m.csv",
+                                      "--out-dir", "{work}/splits"])
+
+    @settings(max_examples=120, deadline=None)
+    @given(dets_1=_mutated(_DETECTIONS, " "), dets_2=_mutated(_DETECTIONS[1:], " "),
+           labels_1=_mutated(_LABELS, " "), labels_2=_mutated(_LABELS[1:], " "),
+           tiles=_mutated(_TILES[:3], ","), observations=_mutated(_OBSERVATIONS[:3], ","))
+    def test_eval(self, dets_1, dets_2, labels_1, labels_2, tiles, observations):
+        with tempfile.TemporaryDirectory() as work:
+            _write_files(work, {"dets/t1.det.txt": dets_1, "dets/t2.det.txt": dets_2,
+                                "labels/t1.txt": labels_1, "labels/t2.txt": labels_2,
+                                "labels/tiles.csv": tiles, "obs.csv": observations})
+            _assert_clean_exit(work, ["eval", "--detections-dir", "{work}/dets",
+                                      "--labels-dir", "{work}/labels", "--out-dir",
+                                      "{work}/eval", "--run-id", "r9",
+                                      "--observations", "{work}/obs.csv"])
+
+    @settings(max_examples=120, deadline=None)
+    @given(observations=_mutated(_OBSERVATIONS, ","),
+           scope=st.sampled_from(["pooled", "per-group"]))
+    def test_compare(self, observations, scope):
+        with tempfile.TemporaryDirectory() as work:
+            _write_files(work, {"obs.csv": observations})
+            _assert_clean_exit(work, ["compare", "--observations", "{work}/obs.csv",
+                                      "--metric", "map30", "--out-dir", "{work}/cmp",
+                                      "--normality-scope", scope])
+
+    @settings(max_examples=120, deadline=None)
+    @given(observations=_mutated(_OBSERVATIONS, ","), comparison=_comparison_json())
+    def test_report(self, observations, comparison):
+        with tempfile.TemporaryDirectory() as work:
+            _write_files(work, {"obs.csv": observations, "cmp.json": comparison})
+            _assert_clean_exit(work, ["report", "--observations", "{work}/obs.csv",
+                                      "--comparisons", "{work}/cmp.json",
+                                      "--out", "{work}/report.txt"])
+
+
+class TestErrorsNameFileAndLine:
+    """A bad row after blank lines, a bad label, bad observations and an
+    oversized detection: exit 2 naming the file and the line of the text."""
+
+    def run(self, capsys, argv):
+        rc = cli.main(argv)
+        return rc, capsys.readouterr().err
+
+    def test_image_manifest(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text("image_id,width,height\n\n\nframe_a,abc,100\n")
+        rc, err = self.run(capsys, ["tile", "--manifest", str(tmp_path / "m.csv"),
+                                    "--labels-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2 and f"{tmp_path / 'm.csv'}: line 4: " in err
+
+    def test_tile_manifest(self, tmp_path, capsys):
+        (tmp_path / "tiles.csv").write_text(
+            "tile_id,row,col,origin_x,origin_y,tile_size\n\nt,0,0,0,0,abc\n")
+        rc, err = self.run(capsys, ["split", "--manifest", str(tmp_path / "tiles.csv"),
+                                    "--out-dir", str(tmp_path / "o")])
+        assert rc == 2 and f"{tmp_path / 'tiles.csv'}: line 3: " in err
+
+    def test_label_file_in_tile(self, tmp_path, capsys):
+        make_manifest(tmp_path / "m.csv", [("a", 640, 640)])
+        (tmp_path / "a.txt").write_text("0 0.5 0.5 0.1 0.1\n\n0 0.5 0.5 2.0 0.1\n")
+        rc, err = self.run(capsys, ["tile", "--manifest", str(tmp_path / "m.csv"),
+                                    "--labels-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2 and f"{tmp_path / 'a.txt'}: line 3: w=2 outside (0, 1]" in err
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_observations(self, tmp_path, capsys, command):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("run_id,metric,group,value\n\n\nr1,map30,320,abc\n")
+        argv = [command, "--observations", str(obs)]
+        if command == "compare":
+            argv += ["--metric", "map30", "--out-dir", str(tmp_path / "o")]
+        rc, err = self.run(capsys, argv)
+        assert rc == 2 and f"{obs}: line 4: bad value 'abc'" in err
+
+    @pytest.mark.parametrize("values, reason", [
+        ((0.5, 0.5, 0.5, 0.5, 0.5, 0.5), "all observations are equal"),
+        ((0.5, 0.6, 0.7, 1e150, -1e150, 0.1), None),
+        ((0.5, 0.6, 0.7, 1e306, -1e306, 0.1), "line 5: value '1e+306' not within ±1e+150"),
+    ])
+    def test_compare_names_the_observation_file(self, tmp_path, capsys, values, reason):
+        obs = tmp_path / "obs.csv"
+        write_observations(obs, {"a": values[:3], "b": values[3:]})
+        rc, err = self.run(capsys, ["compare", "--observations", str(obs), "--metric", "map30",
+                                    "--out-dir", str(tmp_path / "o")])
+        if reason is None:
+            assert rc == 0
+        else:
+            assert rc == 2 and f"{obs}: {reason}" in err
+
+    def test_oversized_detection_in_eval(self, tmp_path, capsys):
+        labels, dets = TestEval().setup_run(tmp_path)
+        dets.joinpath("t1.det.txt").write_text(
+            det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6) + "\n0 0.9 1 1 1e306 1e306\n")
+        rc, err = self.run(capsys, ["eval", "--detections-dir", str(dets), "--labels-dir",
+                                    str(labels), "--out-dir", str(tmp_path / "o"),
+                                    "--run-id", "r1"])
+        assert rc == 2
+        assert f"{dets / 't1.det.txt'}: line 3: box area must be finite" in err
+
+    def test_comparison_number_past_the_float_range(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        write_observations(obs, {"320": [0.5, 0.7], "416": [0.8, 0.9]})
+        bad = tmp_path / "comparison_map30.json"
+        bad.write_text(json.dumps({"branch": "b", "omnibus": {"method": "x", "p_value": 10**401},
+                                   "posthoc": []}))
+        rc, err = self.run(capsys, ["report", "--observations", str(obs), "--comparisons", str(bad)])
+        assert rc == 2 and f"{bad}: not a comparison file" in err
+
+
 class TestConfigPlumbing:
     def test_env_config_applies(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -861,6 +1146,37 @@ class TestConfigPlumbing:
              "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]
         )
         assert rc == 3
+
+    def test_every_override_flag_names_a_config_field(self):
+        # main passes on the parsed arguments whose names are config fields,
+        # so an override flag with any other dest would be ignored
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = [{a.dest for a in sub._actions if a.option_strings}
+                 for sub in commands.choices.values()]
+        shared = set.intersection(*dests) - {"help", "config"}
+        assert len(shared) == 10
+        assert shared <= {f.name for f in dataclasses.fields(HarnessConfig)}
+
+    def test_seed_flag_overrides_config(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 99}))
+        monkeypatch.setenv("VC_EVAL_CONFIG", str(cfg))
+        make_manifest(tmp_path / "images.csv", [(f"i{k}", 640, 640) for k in range(5)])
+        out = tmp_path / "split"
+        assert cli.main(["split", "--manifest", str(tmp_path / "images.csv"),
+                         "--out-dir", str(out), "--seed", "7"]) == 0
+        assert json.loads((out / "config_used.json").read_text())["seed"] == 7
+        assert "(seed 7)" in capsys.readouterr().out
+
+    def test_class_names_split_on_commas(self, tmp_path):
+        make_manifest(tmp_path / "images.csv", [("i0", 640, 640)])
+        out = tmp_path / "split"
+        assert cli.main(["split", "--manifest", str(tmp_path / "images.csv"), "--out-dir", str(out),
+                         "--class-names", " weed, ,crop ,"]) == 0
+        assert json.loads((out / "config_used.json").read_text())["class_names"] == ["weed", "crop"]
+        assert cli.main(["split", "--manifest", str(tmp_path / "images.csv"), "--out-dir", str(out),
+                         "--class-names", ","]) == 3
 
     def test_class_names_override(self, tmp_path):
         labels = tmp_path / "labels"

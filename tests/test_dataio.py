@@ -14,6 +14,7 @@ from vceval.dataio import (
     DatasetSplit,
     parse_detection_file,
     parse_label_file,
+    read_csv_table,
     read_image_manifest,
     read_tensor,
     split_dataset,
@@ -31,6 +32,7 @@ from vceval.errors import (
     ScoreOutOfRange,
     ShapeOverflow,
     TruncatedPayload,
+    UnreadableCSV,
 )
 from vceval.netops import RawHeadTensor
 
@@ -65,6 +67,16 @@ class TestLabelFormat:
         with pytest.raises(MalformedLine) as exc:
             parse_label_file("0 0.5 0.5 0.2 0.2\n0 x 0.5 0.2 0.2\n", 100, 100)
         assert exc.value.line_no == 2
+
+    def test_class_id_beyond_64_bits_is_malformed(self):
+        with pytest.raises(MalformedLine, match="line 2: class id .* does not fit in 64 bits"):
+            parse_label_file(f"0 0.5 0.5 0.2 0.2\n{2**63} 0.5 0.5 0.2 0.2\n", 100, 100)
+        assert parse_label_file(f"{2**63 - 1} 0.5 0.5 0.2 0.2\n", 100, 100)[0].class_id == 2**63 - 1
+
+    def test_box_that_bounding_box_refuses_is_out_of_range(self):
+        # each side is finite in pixels, their product is not
+        with pytest.raises(OutOfRange, match="line 2: box area must be finite"):
+            parse_label_file("\n0 0.5 0.5 1 1\n", 10**200, 10**200)
 
     def test_center_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -298,11 +310,44 @@ class TestManifest:
         with pytest.raises(EmptyDataset):
             read_image_manifest("")
 
+    def test_errors_give_the_line_of_the_text(self):
+        with pytest.raises(MalformedLine, match="line 4: invalid literal"):
+            read_image_manifest("image_id,width,height\n\n\nframe_a,abc,100\n")
+        with pytest.raises(MalformedLine, match="line 2: bad manifest header"):
+            read_image_manifest("\nimage,w,h\n")
+
+    def test_duplicate_image_id(self):
+        with pytest.raises(MalformedLine, match="line 3: duplicate image id 'a'"):
+            read_image_manifest("image_id,width,height\na,10,10\na,20,20\n")
+
     def test_bad_row(self):
         with pytest.raises(MalformedLine):
             read_image_manifest("image_id,width,height\nframe_a,abc,100\n")
         with pytest.raises(MalformedLine):
             read_image_manifest("image_id,width,height\nframe_a,100\n")
+
+
+class TestCsvTable:
+    def test_header_and_rows_with_their_lines(self):
+        text = '\n x , y \n1,2\n\n  ,\n"3\n3",4\n5,6\n'
+        header_line, header, rows = read_csv_table(text, "table")
+        assert (header_line, header) == (2, ["x", "y"])
+        # a quoted field over two lines ends its row on the second
+        assert list(rows) == [(3, ["1", "2"]), (7, ["3\n3", "4"]), (8, ["5", "6"])]
+
+    def test_field_count_is_checked_row_by_row(self):
+        _, _, rows = read_csv_table("a,b\n1,2\n\n3\n4,5\n", "table")
+        assert next(rows) == (2, ["1", "2"])
+        with pytest.raises(MalformedLine, match="line 4: expected 2 fields, got 1"):
+            next(rows)
+
+    def test_empty_text(self):
+        header_line, header, rows = read_csv_table(" \n,\n", "table")
+        assert (header_line, header, list(rows)) == (0, [], [])
+
+    def test_unreadable_csv_names_what_it_read(self):
+        with pytest.raises(UnreadableCSV, match="table is not readable CSV"):
+            read_csv_table('a\n"' + "x" * 200_000 + '"\n', "table")
 
 
 # --- detection parser against the line-by-line oracle ----------------------
@@ -312,7 +357,8 @@ _SCORE_TOKENS = ["0.5", "0.900000", "0", "-0.0", "1.0", "1", "1.0000001", "-0.1"
                  "nan", "inf", "1e-400", "abc"]
 _COORD_TOKENS = ["10.5", "-3", "0", "-0.0", "400.000001", "1e308", "1e309",
                  "nan", "inf", "-inf", "1_0", "abc"]
-_SIDE_TOKENS = ["5", "41.6", "0.000001", "1e-320", "0", "-0.0", "-2", "nan", "inf", "abc"]
+_SIDE_TOKENS = ["5", "41.6", "0.000001", "1e-320", "1e200", "0", "-0.0", "-2", "nan", "inf",
+                "abc"]
 
 
 _FIELD_TOKENS = [_CLASS_TOKENS, _SCORE_TOKENS, _COORD_TOKENS, _COORD_TOKENS,
@@ -372,6 +418,7 @@ class TestDetectionParserAgainstOracle:
             ("0 nan 1 1 5 5", ScoreOutOfRange),
             ("0 0.5 1 1 0 5", OutOfRange),
             ("0 0.5 inf 1 5 5", OutOfRange),
+            ("0 0.5 1 1 1e306 1e306", OutOfRange),
             ("0 0.5 1 1 5", MalformedLine),
             ("0 0.5 1 1 5 5 5", MalformedLine),
         ],

@@ -101,11 +101,26 @@ class TestShapiroWilk:
             assert got.statistic == pytest.approx(want_w, abs=1e-6)
             assert got.p_value == pytest.approx(want_p, abs=1e-6)
 
+    @pytest.mark.parametrize("shape", ["normal", "exponential", "uniform"])
+    def test_against_scipy_past_fifty(self, shape):
+        rng = random.Random(51)
+        draw = {
+            "normal": lambda: rng.gauss(10.0, 2.0),
+            "exponential": lambda: rng.expovariate(1.0),
+            "uniform": lambda: rng.uniform(0.0, 1.0),
+        }[shape]
+        for n in (51, 52, 75, 100, 250, 1000, 2500, 4999, 5000):
+            x = [draw() for _ in range(n)]
+            got = shapiro_wilk(x)
+            want_w, want_p = sps.shapiro(x)
+            assert got.statistic == pytest.approx(want_w, abs=1e-6)
+            assert got.p_value == pytest.approx(want_p, abs=1e-6)
+
     def test_size_limits(self):
         with pytest.raises(TooFewSamples):
             shapiro_wilk([1.0, 2.0])
         with pytest.raises(TooManySamples):
-            shapiro_wilk(list(range(51)))
+            shapiro_wilk(list(range(5001)))
 
     def test_constant_sample(self):
         with pytest.raises(ZeroVariance):
@@ -458,6 +473,18 @@ class TestObservationCsv:
     def test_non_finite_value(self, value):
         with pytest.raises(MalformedLine):
             load_observation_table(f"metric,group,value\nm,a,1\nm,a,{value}\nm,b,1\nm,b,2\n", "m")
+
+    def test_errors_give_the_line_of_the_text(self):
+        with pytest.raises(MalformedLine, match="line 4: bad value 'abc'"):
+            parse_observations("metric,group,value\n\n\nm,a,abc\n")
+        with pytest.raises(MalformedLine, match="line 2: header"):
+            parse_observations("\nmetric,group\n")
+
+    def test_value_magnitude_is_bounded(self):
+        text = "metric,group,value\nm,a,1e150\nm,a,-1e150\nm,b,0\nm,b,1\n"
+        assert parse_observations(text)["m"]["a"] == [1e150, -1e150]
+        with pytest.raises(MalformedLine, match="line 3: value '1.1e150'"):
+            parse_observations("metric,group,value\nm,a,1\nm,a,1.1e150\n")
 
     def test_unreadable_csv(self):
         with pytest.raises(FormatError):

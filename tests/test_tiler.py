@@ -3,9 +3,10 @@ import random
 import pytest
 
 from vceval.boxes import BoundingBox, GroundTruthBox
-from vceval.errors import MalformedLine, NotMultipleOf32, TileLargerThanImage
+from vceval.errors import MalformedLine, NotMultipleOf32, ShapeOverflow, TileLargerThanImage
 from vceval.tiler import (
     DROP_PARTIAL,
+    MAX_TILES_PER_IMAGE,
     PAD_EDGE,
     TileRef,
     make_tile_id,
@@ -77,6 +78,28 @@ class TestPlanTiles:
             plan_tiles(0, 100, 320)
         with pytest.raises(ValueError):
             plan_tiles(100, 100, 320, "mirror")
+
+    def test_ceilings_are_exact_for_any_integer_extent(self):
+        # (2**60 + 1) / 2**60 rounds to 1.0 in floating point
+        layout = plan_tiles(2**60 + 1, 2**60, 2**60)
+        assert (layout.columns, layout.rows) == (2, 1)
+
+    @pytest.mark.parametrize("policy", [PAD_EDGE, DROP_PARTIAL])
+    def test_plan_at_the_cap_is_laid(self, policy):
+        assert MAX_TILES_PER_IMAGE == 2**16
+        assert plan_tiles(256 * 32, 256 * 32, 32, policy).tile_count == MAX_TILES_PER_IMAGE
+        # the paper's largest grid: a 5472x3648 frame at 32 px
+        assert plan_tiles(5472, 3648, 32, policy).tile_count <= 19_494
+
+    @pytest.mark.parametrize("width, height", [
+        (256 * 32 + 1, 256 * 32),       # one column past the cap (pad-edge)
+        (10**8, 10**8),                 # about 9.8e12 tiles
+        (int("9" * 401), 100),          # past any float
+    ])
+    def test_plan_beyond_the_cap_is_refused(self, width, height):
+        # plan_tiles only counts; it builds no tile, so a refusal costs nothing
+        with pytest.raises(ShapeOverflow, match="more than 65536 tiles"):
+            plan_tiles(width, height, 32, PAD_EDGE)
 
 
 class TestRemap:
@@ -156,6 +179,18 @@ class TestTileManifest:
 
     def test_empty_content(self):
         assert read_tile_manifest("") == []
+
+    def test_errors_give_the_line_of_the_text(self):
+        header = "tile_id,row,col,origin_x,origin_y,tile_size\n"
+        with pytest.raises(MalformedLine, match="line 4: expected 6 fields"):
+            read_tile_manifest(header + "t,0,0,0,0,416\n\nu,0,1\n")
+        with pytest.raises(MalformedLine, match="line 3: bad tile manifest header"):
+            read_tile_manifest("\n , ,\ntile,row\n")
+
+    def test_duplicate_tile_id(self):
+        text = "tile_id,row,col,origin_x,origin_y,tile_size\nt,0,0,0,0,416\nt,0,1,416,0,416\n"
+        with pytest.raises(MalformedLine, match="line 3: duplicate tile id 't'"):
+            read_tile_manifest(text)
 
     def test_tile_ref_validation(self):
         with pytest.raises(ValueError):
