@@ -14,6 +14,16 @@ import numpy as np
 # linear in the box count however much the boxes overlap.
 _PAIR_CHUNK = 1 << 16
 
+# Relative slack of nms_keep's pair bound. The IoU arithmetic rounds at most
+# a few ulps (about 1e-15 relative) past its exact value; 1e-9 covers that
+# many times over and loosens the bound by a negligible amount.
+_SLACK = 1e-9
+
+# nms_keep applies its bound only when the threshold, and the threshold
+# times every box side and area, are at least this, so none of the products
+# the bound reasons about is subnormal, where rounding is not relative.
+_TINY = 2.0 ** -900
+
 
 def sigmoid(x):
     """Logistic function 1/(1+e^(-x)); accepts scalars or arrays.
@@ -28,6 +38,25 @@ def sigmoid(x):
     out[~pos] = ex / (1.0 + ex)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
+    return out
+
+
+def iou_of(inter, area_a, area_b):
+    """IoU from the intersection and the two areas, inter / (area_a + area_b
+    - inter), elementwise with broadcasting; 0 where that union is not
+    positive.
+
+    When two finite areas sum past the float range, the ratio is taken at
+    half scale, where halving is exact, instead of over an infinite union.
+    """
+    with np.errstate(over="ignore"):
+        union = area_a + area_b - inter
+    big = np.isinf(union)
+    if big.any():
+        inter = np.where(big, 0.5 * inter, inter)
+        union = np.where(big, 0.5 * area_a + 0.5 * area_b - inter, union)
+    out = np.zeros(np.shape(union), dtype=np.float64)
+    np.divide(inter, union, out=out, where=union > 0.0)
     return out
 
 
@@ -47,10 +76,7 @@ def iou_matrix(a, b):
     inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    return iou_of(inter, area_a[:, None], area_b[None, :])
 
 
 def nms_keep(boxes, classes, order, iou_threshold):
@@ -61,10 +87,40 @@ def nms_keep(boxes, classes, order, iou_threshold):
     detection of the same class when IoU >= iou_threshold. Returns kept
     original indices in scan order.
 
-    The result is that of the plain greedy scan, but IoU is computed only
-    for same-class pairs whose x-extents may overlap, and only against
+    The result is that of the plain greedy scan. The scan streams through
+    the pairs in scan order, at most _PAIR_CHUNK at a time, so memory stays
+    linear in N however much the boxes overlap; IoU is computed only for
+    same-class pairs that pass the bound below, and only against
     suppressors still alive; the Python loop runs once per box that
     suppresses another.
+
+    The bound. The intersection is at most the smaller area, so the union
+    is at least the larger one, and IoU >= t needs an intersection of at
+    least t * max(A_i, A_j). Its height is at most min(h_i, h_j), so its
+    width iw is at least t * max(w_i, w_j); likewise its height ih is at
+    least t * max(h_i, h_j). With the boxes grouped by class and by the
+    binary exponent of their width, and each group sorted by x1, that
+    gives for box i and a group holding widths [w_min, w_max]:
+
+    - the widths are within a factor 1/t of each other, so the group is
+      skipped unless w_max >= t * w_i and w_i >= t * w_min;
+    - x1_j lies in [x1_i - (w_max - t * max(w_i, w_max)),
+      x2_i - t * max(w_i, w_min)], one window of the group;
+    - each pair in the window needs ih >= t * max(h_i, h_j) before any
+      rank, alive or IoU work.
+
+    Why it is exact. The rules hold for the floats computed below, not only
+    for real numbers. Each side and intersection side is one correctly
+    rounded subtraction, so as computed iw <= min(w_i, w_j) and
+    ih <= min(h_i, h_j); the products, sums and the quotient that give the
+    IoU each round by a relative 2^-53 at most. An IoU at or above t as
+    computed therefore has iw >= t * max(w_i, w_j) * (1 - 1e-15), and the
+    same for ih. The rules use t * (1 - _SLACK) and widen the window by
+    _SLACK times the largest coordinate magnitude, which also covers the
+    rounding of its own ends, so no pair the IoU arithmetic puts at or above
+    t is skipped. Relative rounding needs normal numbers: when t, or t times
+    some side or area, is below _TINY, or an area is not finite, the bound
+    is off and every same-class pair is a candidate.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     classes = np.asarray(classes, dtype=np.int64)
@@ -76,44 +132,57 @@ def nms_keep(boxes, classes, order, iou_threshold):
         # IoU is never negative, so every same-class pair suppresses
         first = np.unique(classes[order], return_index=True)[1]
         return order[np.sort(first)]
+    if iou_threshold > 1.0:
+        # the intersection never exceeds the union, so IoU never exceeds 1
+        return order.copy()
 
     x1, y1, x2, y2 = boxes.T
-    areas = (x2 - x1) * (y2 - y1)
+    w, h = x2 - x1, y2 - y1
+    areas = w * h
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
+    t = iou_threshold * (1.0 - _SLACK)
+    # min(..., 1.0) keeps a NaN, which fails the test
+    smallest = min(np.minimum(np.minimum(w, h), areas).min(), 1.0)
+    bounded = bool(iou_threshold * smallest >= _TINY and areas.max() < math.inf)
 
     # Group the boxes by class and by the binary exponent of their width,
-    # and sort each group by x1. A same-class box j can overlap box i only
-    # if, in j's group, x1_j < x2_i and the running maximum of x2 up to j
-    # exceeds x1_i; that is one window of the group per (box, group) query.
-    # Similar widths keep the running maximum close to each box's own x2.
-    # Coordinates become integer ranks (equal values, equal ranks) so group
-    # and coordinate fold into one exact int64 key.
-    span = 2 * n
-    coords = np.concatenate((x1, x2))
-    ranks = np.searchsorted(np.sort(coords), coords)
-    r1, r2 = ranks[:n], ranks[n:]
-    exponent = np.frexp(x2 - x1)[1]
-    by_group = np.lexsort((exponent, classes))
-    cls_sorted, exp_sorted = classes[by_group], exponent[by_group]
+    # and sort each group by x1, so each (box, group) query is one window of
+    # the group.
+    exponent = np.frexp(w)[1]
+    by_key = np.lexsort((x1, exponent, classes))
+    cls_sorted, exp_sorted = classes[by_key], exponent[by_key]
     starts = np.concatenate(
         ([True], (cls_sorted[1:] != cls_sorted[:-1]) | (exp_sorted[1:] != exp_sorted[:-1]))
     )
-    group = np.empty(n, dtype=np.int64)
-    group[by_group] = np.cumsum(starts) - 1
-    group_class = cls_sorted[starts]
-    key = group * span + r1
-    by_key = np.argsort(key, kind="stable")
-    key_sorted = key[by_key]
-    reach = np.maximum.accumulate((group * span + r2)[by_key])
+    gstart = np.flatnonzero(starts)
+    group_class = cls_sorted[gstart]
 
     # queries of every box against every group of its class, in scan order
     first = np.searchsorted(group_class, classes[order], side="left")
     per_box = np.searchsorted(group_class, classes[order], side="right") - first
     q_box = np.repeat(order, per_box)
     q_group = np.repeat(first - np.cumsum(per_box) + per_box, per_box) + np.arange(q_box.size)
-    lo = np.searchsorted(reach, q_group * span + r1[q_box], side="right")
-    hi = np.searchsorted(key_sorted, q_group * span + r2[q_box], side="left")
+    if bounded:
+        w_sorted = w[by_key]
+        w_min = np.minimum.reduceat(w_sorted, gstart)[q_group]
+        w_max = np.maximum.reduceat(w_sorted, gstart)[q_group]
+        wi = w[q_box]
+        # a group is searched only if some width in it meets the ratio rule
+        can = (w_max >= t * wi) & (wi >= t * w_min)
+        q_box, q_group, wi, w_min, w_max = q_box[can], q_group[can], wi[can], w_min[can], w_max[can]
+        wide = np.maximum(wi, w_max)
+        pad = _SLACK * np.abs(boxes).max()
+        lo_x = x1[q_box] - (w_max - t * wide) - pad
+        hi_x = x2[q_box] - t * np.maximum(wi, w_min) + pad
+        # complex numbers order lexicographically, so group + 1j * x1 is one
+        # exact (group, x1) key; every coordinate here is finite
+        key_sorted = (np.cumsum(starts) - 1) + 1j * x1[by_key]
+        lo = np.searchsorted(key_sorted, q_group + 1j * lo_x, side="left")
+        hi = np.searchsorted(key_sorted, q_group + 1j * hi_x, side="right")
+        y1_sorted, y2_sorted, h_sorted = y1[by_key], y2[by_key], h[by_key]
+    else:
+        lo, hi = gstart[q_group], np.append(gstart[1:], n)[q_group]
     width = np.maximum(hi - lo, 0)
 
     alive = np.ones(n, dtype=bool)
@@ -127,7 +196,13 @@ def nms_keep(boxes, classes, order, iou_threshold):
         chunk, todo = todo[:take], todo[take:]
         counts = width[chunk]
         i = np.repeat(q_box[chunk], counts)
-        j = by_key[np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - lo[chunk], counts)]
+        at = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - lo[chunk], counts)
+        if bounded:
+            # the height rule, on the intersection height the IoU uses
+            ih = np.minimum(y2[i], y2_sorted[at]) - np.maximum(y1[i], y1_sorted[at])
+            near = ih >= t * np.maximum(h[i], h_sorted[at])
+            i, at = i[near], at[near]
+        j = by_key[at]
         pair = (rank[j] > rank[i]) & alive[j]
         i, j = i[pair], j[pair]
         ix1 = np.maximum(x1[i], x1[j])
@@ -135,17 +210,7 @@ def nms_keep(boxes, classes, order, iou_threshold):
         ix2 = np.minimum(x2[i], x2[j])
         iy2 = np.minimum(y2[i], y2[j])
         inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
-        with np.errstate(over="ignore"):
-            union = areas[i] + areas[j] - inter
-        # two areas near the float limit: take the ratio at half scale,
-        # where halving is exact
-        big = np.isinf(union)
-        if big.any():
-            inter[big] *= 0.5
-            union[big] = 0.5 * areas[i[big]] + 0.5 * areas[j[big]] - inter[big]
-        iou = np.zeros_like(inter)
-        np.divide(inter, union, out=iou, where=union > 0.0)
-        hit = iou >= iou_threshold
+        hit = iou_of(inter, areas[i], areas[j]) >= iou_threshold
         i, j = i[hit], j[hit]
         if i.size == 0:
             continue

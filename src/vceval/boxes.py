@@ -194,8 +194,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return float(_kernels.iou_of(iw * ih, a.area, b.area))
 
 
 def clip_to(box: BoundingBox, extent_w: float, extent_h: float) -> Optional[BoundingBox]:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import __version__
 from . import stats as statsmod
 from .boxes import DetectionArrays, nms
-from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
+from .config import CONFIG_ENV_VAR, MAX_INPUT_SIZE, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
     parse_detection_file,
@@ -113,6 +113,8 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
     tile_size = args.tile_size if args.tile_size is not None else config.input_size
     if tile_size <= 0 or tile_size % 32 != 0:
         raise ConfigError(f"tile size {tile_size} is not a positive multiple of 32")
+    if tile_size > MAX_INPUT_SIZE:
+        raise ConfigError(f"tile size {tile_size} is above the limit of {MAX_INPUT_SIZE}")
     images = _parse_file(args.manifest, read_image_manifest)
     layouts = []
     for entry in images:

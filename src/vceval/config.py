@@ -17,6 +17,10 @@ from .netops import DEFAULT_ANCHORS
 
 CONFIG_ENV_VAR = "VC_EVAL_CONFIG"
 
+# Upper bound on input_size and on tile --tile-size, in pixels: far above any
+# detector input, and small enough that pixel arithmetic stays in float range.
+MAX_INPUT_SIZE = 2**16
+
 
 @dataclass(frozen=True)
 class HarnessConfig:
@@ -36,6 +40,8 @@ class HarnessConfig:
     def __post_init__(self):
         if self.input_size <= 0 or self.input_size % 32 != 0:
             raise ConfigError(f"input_size {self.input_size} is not a positive multiple of 32")
+        if self.input_size > MAX_INPUT_SIZE:
+            raise ConfigError(f"input_size {self.input_size} is above the limit of {MAX_INPUT_SIZE}")
         for name in ("score_threshold", "objectness_threshold",
                      "nms_iou_threshold", "eval_iou_threshold"):
             v = getattr(self, name)

@@ -138,6 +138,11 @@ class TestIoU:
             )
             assert iou(a, b) == pytest.approx(want, abs=1e-12)
 
+    def test_union_past_the_float_range(self):
+        # the area is finite, the sum of two is not
+        box = BoundingBox(0.0, 0.0, 1e154, 1.5e154)
+        assert iou(box, box) == 1.0
+
     def test_symmetry(self):
         rng = random.Random(7)
         for _ in range(100):

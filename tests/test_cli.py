@@ -1147,6 +1147,24 @@ class TestConfigPlumbing:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("command, flag", [("tile", "--tile-size"), ("decode", "--input-size"),
+                                               ("eval", "--input-size")])
+    def test_size_above_the_limit_is_exit_3(self, tmp_path, capsys, command, flag):
+        # a 401-digit multiple of 32 once overflowed float conversions in a traceback
+        size = 32 * 10**400
+        make_manifest(tmp_path / "images.csv", [("i0", 640, 640)])
+        for d in ("labels", "dets"):
+            (tmp_path / d).mkdir()
+        inputs = {"tile": ["--manifest", str(tmp_path / "images.csv"),
+                           "--labels-dir", str(tmp_path / "labels")],
+                  "decode": ["--tensors-dir", str(tmp_path / "dets")],
+                  "eval": ["--detections-dir", str(tmp_path / "dets"),
+                           "--labels-dir", str(tmp_path / "labels"), "--run-id", "r1"]}[command]
+        rc = cli.main([command, *inputs, "--out-dir", str(tmp_path / "out"), flag, str(size)])
+        err = capsys.readouterr().err
+        assert rc == 3 and f"{size} is above the limit of 65536" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_every_override_flag_names_a_config_field(self):
         # main passes on the parsed arguments whose names are config fields,
         # so an override flag with any other dest would be ignored

@@ -4,6 +4,7 @@ import pytest
 
 from vceval.config import (
     CONFIG_ENV_VAR,
+    MAX_INPUT_SIZE,
     HarnessConfig,
     config_from_dict,
     load_config,
@@ -34,6 +35,13 @@ class TestValidation:
             HarnessConfig(input_size=300)
         with pytest.raises(ConfigError):
             HarnessConfig(input_size=0)
+
+    def test_input_size_upper_bound(self):
+        assert HarnessConfig(input_size=MAX_INPUT_SIZE).input_size == MAX_INPUT_SIZE
+        # a 401-digit size would overflow float conversions when labels are scaled
+        for size in (MAX_INPUT_SIZE + 32, 32 * 10**400):
+            with pytest.raises(ConfigError, match=f"input_size {size} is above the limit"):
+                HarnessConfig(input_size=size)
 
     @pytest.mark.parametrize(
         "field,value",

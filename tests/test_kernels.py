@@ -7,6 +7,7 @@ bit: same IoU values, same keep lists in the same order.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_iou_matrix_matches_oracle():
         np.testing.assert_array_equal(got, want)
 
 
+def test_iou_matrix_union_past_the_float_range():
+    # each area is finite, the sum of two is not
+    box = np.array([[0.0, 0.0, 1e154, 1.5e154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernels.iou_matrix(box, box).tolist() == [[1.0]]
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 @pytest.mark.parametrize("threshold", [0.0, 0.45, 1.0])
 @pytest.mark.parametrize("num_classes", [1, 3])
@@ -60,6 +69,71 @@ def test_nms_keep_matches_oracle(monkeypatch, chunk, threshold, num_classes):
         got = _kernels.nms_keep(to_xyxy(xywh), classes, scan_order(scores), threshold)
         assert got.dtype == np.int64
         assert got.tolist() == nms_ref(entries, threshold)
+
+
+# sides on both sides of powers of two (the edges of nms_keep's width
+# groups), the 9:20 width ratio of t = 0.45, and 1:50 aspect ratios
+EDGE_SIDES = np.array([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 20, 31, 32, 33, 50, 64], dtype=np.float64)
+
+
+def edge_xywh(rng, n, extent):
+    """Integer boxes with EDGE_SIDES sides; about half are partners of the
+    box before them, sharing its rows or its columns, so many pairs overlap
+    with the full height or width of the smaller box."""
+    xywh = np.concatenate([rng.integers(0, extent, size=(n, 2)).astype(np.float64),
+                           rng.choice(EDGE_SIDES, size=(n, 2))], axis=1)
+    for k in range(1, n):
+        if rng.random() < 0.5:
+            shared = int(rng.integers(0, 2))  # 0: same columns, 1: same rows
+            moved = 1 - shared
+            xywh[k, [shared, shared + 2]] = xywh[k - 1, [shared, shared + 2]]
+            xywh[k, moved] = xywh[k - 1, moved] + rng.integers(-xywh[k, moved + 2],
+                                                               xywh[k - 1, moved + 2] + 1)
+    return xywh
+
+
+def float_xywh(rng, n):
+    """Boxes with non-integer coordinates in [1024, 2048), where x2 - x1 is
+    exact, so the oracle's x1 + w is the kernel's x2 and both round alike;
+    about half are partners inside the box before them, at a width or
+    height ratio in (0.3, 1)."""
+    x1 = rng.uniform(1024.0, 1536.0, size=(n, 2))
+    x2 = x1 + rng.uniform(1.0, 400.0, size=(n, 2))
+    for k in range(1, n):
+        if rng.random() < 0.5:
+            x1[k], x2[k] = x1[k - 1], x2[k - 1]
+            axis = int(rng.integers(0, 2))
+            side = (x2[k, axis] - x1[k, axis]) * rng.uniform(0.3, 1.0)
+            x1[k, axis] += rng.uniform(0.0, x2[k, axis] - x1[k, axis] - side)
+            x2[k, axis] = x1[k, axis] + side
+    return np.concatenate([x1, x2 - x1], axis=1)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("kind, scale", [("edge", 1.0), ("edge", 2.0**-30), ("edge", 2.0**30),
+                                         ("edge", 2.0**-440), ("edge", 2.0**-460),
+                                         ("float", 1.0), ("float", 2.0**-530)])
+def test_nms_keep_bound_matches_oracle(monkeypatch, chunk, kind, scale):
+    # thresholds taken from the pairs' own IoUs put pairs exactly at t;
+    # scaling by a power of two keeps every IoU down to 2^-460, where the
+    # threshold times an area falls below _kernels._TINY; float boxes at
+    # 2^-530 have subnormal areas, which round by far more than
+    # _kernels._SLACK
+    monkeypatch.setattr(_kernels, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(41 + chunk)
+    for trial in range(30):
+        n = int(rng.integers(2, 30))
+        xywh = edge_xywh(rng, n, (16, 64)[trial % 2]) if kind == "edge" else float_xywh(rng, n)
+        xywh *= scale
+        classes = rng.integers(0, 2, size=n)
+        scores = np.round(rng.uniform(0.0, 1.0, size=n), 1)  # forced score ties
+        entries = [(*box, int(c), float(s)) for box, c, s in zip(xywh, classes, scores)]
+        ious = sorted({iou_ref(a[:4], b[:4]) for a in entries for b in entries
+                       if a is not b and a[4] == b[4]} - {0.0})
+        picked = rng.choice(ious, size=min(4, len(ious)), replace=False).tolist()
+        for threshold in [1e-300, 0.45, 1.0, 1.5, *picked]:
+            got = _kernels.nms_keep(to_xyxy(xywh), classes, scan_order(scores), threshold)
+            assert got.tolist() == nms_ref(entries, threshold), threshold
 
 
 def test_kernels_accept_empty_inputs():

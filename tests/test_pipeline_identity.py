@@ -7,8 +7,10 @@ the sha256 of the sorted ``<relative path> <sha256 of the file>`` lines of
 every file of that kind. ``report`` runs inside the output directory with a
 relative observation path, because ``report.txt`` quotes that path. The
 seed-1 detection and evaluation digests were taken before evaluation became
-columnar, the seed-2 ones before decode did, and the tile, comparison and
-report digests before the input rules were merged; CHANGES.md says how.
+columnar, the seed-2 ones before decode did, the tile, comparison and
+report digests before the input rules were merged, and the dense-lowscore
+seed-3 ones before NMS searched only pairs that can reach the threshold;
+CHANGES.md says how.
 """
 
 import contextlib
@@ -59,6 +61,17 @@ EXPECTED = {
         "comparison_*.json": "2cb562c8127742d67c423e7f7d0248ebc69083dfd90597501cab88444a8226ef",
         "comparison_*.csv": "fa6071b3c25af4ae245c01f2c96fea1e3033925bea8a33655c8243f91b629a69",
         "report.txt": "49f336395ad9c46fb98d2589e6c0d0e660f855884226a4b0711f0abca2125c77",
+    },
+    ("dense-lowscore", 3): {
+        ".det.txt": "fafcc097af02c7de2f5aacb38561649dac72db597cc710375fbd88cd676ad2e1",
+        "metrics.csv": "e9cd2be3a0bb8d7a0b80cde0b4ce73c0296f081ee87873369af6f08e82467c6f",
+        "pr_curves.csv": "bc69bff2c4076461249392d4ae6164c30bb080d3eb1b52e28098106f8ead64c5",
+        "observations.csv": "4833dead752a752f012dd8237a92429f4c9cfef360f9bf17ea389dc27385c8dd",
+        "tile .txt": "94819abbb2c90ad4b4aca83f516b36ed7a8d8aaf2b28ae25b6dd731eb7b670c3",
+        "tiles.csv": "a2a583dd1531cc1cfbbb141e34f27b82b5a8ecc2f2d4dbfe66bd60b1f3051f58",
+        "comparison_*.json": "1b6c3615363c6e69370de2115dfaedbbfea314f91ec754a49e5ff181f38ca754",
+        "comparison_*.csv": "9e636445bed93b921102773a062efa0f56ef5ed5a82af297c38678bb1f3a2418",
+        "report.txt": "ea022587d6e34c9cf1ba07920d77aa2a4705f11803a79523dd825e4346bdccb9",
     },
     ("study-3x5", 1): {
         ".det.txt": "23f63e5f639c538342a295a19859786e31371d79ac30792c84405a2628e0d82c",
