@@ -125,6 +125,14 @@ class RecordArrays(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
+def _corners(xywh: np.ndarray) -> np.ndarray:
+    """(x_min, y_min, x_min + width, y_min + height) rows of (N, 4) xywh
+    rows; a corner past the float range is inf, as BoundingBox.x_max
+    gives it."""
+    with np.errstate(over="ignore"):
+        return np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+
+
 class DetectionArrays(RecordArrays):
     """Detections as columns: ``score`` (N,) float64, ``class_id`` (N,)
     int64, ``xywh`` (N, 4) float64 rows (x_min, y_min, width, height) and
@@ -138,9 +146,7 @@ class DetectionArrays(RecordArrays):
         self.score = score
         self.class_id = class_id
         self.xywh = xywh
-        # a corner past the float range is inf, as BoundingBox.x_max gives it
-        with np.errstate(over="ignore"):
-            self.xyxy = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+        self.xyxy = _corners(xywh)
 
     @classmethod
     def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
@@ -174,6 +180,38 @@ class DetectionArrays(RecordArrays):
             box=BoundingBox(*self.xywh[i].tolist()),
             class_id=int(self.class_id[i]),
             score=float(self.score[i]),
+        )
+
+
+class LabelArrays(RecordArrays):
+    """Ground truths as columns: ``class_id`` (N,) int64, ``xywh`` (N, 4)
+    float64 rows (x_min, y_min, width, height) and the corners ``xyxy``
+    derived from them as in DetectionArrays. Reads as a sequence of
+    GroundTruthBox."""
+
+    __slots__ = ("class_id", "xywh", "xyxy")
+
+    def __init__(self, class_id: np.ndarray, xywh: np.ndarray):
+        self.class_id = class_id
+        self.xywh = xywh
+        self.xyxy = _corners(xywh)
+
+    @classmethod
+    def of(cls, gts: Sequence[GroundTruthBox]) -> "LabelArrays":
+        """``gts`` itself when it is a LabelArrays, else its columns."""
+        if isinstance(gts, LabelArrays):
+            return gts
+        return cls(
+            np.array([g.class_id for g in gts], dtype=np.int64),
+            np.array(
+                [(g.box.x_min, g.box.y_min, g.box.width, g.box.height) for g in gts],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+        )
+
+    def _record(self, i: int) -> GroundTruthBox:
+        return GroundTruthBox(
+            box=BoundingBox(*self.xywh[i].tolist()), class_id=int(self.class_id[i])
         )
 
 

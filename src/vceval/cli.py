@@ -20,9 +20,11 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from . import stats as statsmod
-from .boxes import DetectionArrays, nms
+from .boxes import DetectionArrays, LabelArrays, nms
 from .config import CONFIG_ENV_VAR, MAX_INPUT_SIZE, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
@@ -122,34 +124,44 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
             layouts.append(plan_tiles(entry.width, entry.height, tile_size, args.policy))
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_rows = []
-    kept = total = 0
+    total = kept = written = dropped = 0
     for entry, layout in zip(images, layouts):
         label_path = os.path.join(args.labels_dir, entry.image_id + ".txt")
         if os.path.exists(label_path):
-            gts = _parse_file(
+            labels = _parse_file(
                 label_path, lambda text: parse_label_file(text, entry.width, entry.height)
             )
         else:
-            gts = []
-        total += len(gts)
-        for ref in layout.tiles():
+            labels = LabelArrays.of(())
+        found = np.zeros(len(labels), dtype=bool)
+        for ref, rows in zip(layout.tiles(), layout.rows_by_tile(labels.xyxy)):
             tile_id = make_tile_id(entry.image_id, ref.row, ref.col)
-            local = []
-            for g in gts:
-                remapped = remap_to_tile(g, ref, tile_size, config.min_visibility)
-                if remapped is not None:
-                    local.append(remapped)
-            kept += len(local)
+            # the class column carries each row's position, so the kept rows are known
+            local = remap_to_tile(
+                LabelArrays(rows, labels.xywh[rows]), ref, tile_size, config.min_visibility
+            )
+            found[local.class_id] = True
+            written += len(local)
             _write_text(
                 os.path.join(args.out_dir, tile_id + ".txt"),
-                write_label_file(local, tile_size, tile_size),
+                write_label_file(
+                    LabelArrays(labels.class_id[local.class_id], local.xywh), tile_size, tile_size
+                ),
             )
             manifest_rows.append((tile_id, ref, tile_size))
+        # a box that starts inside the grid overlaps some tile, so only its
+        # visible fractions can have dropped it everywhere
+        in_grid = ((labels.xyxy[:, 0] < layout.columns * tile_size)
+                   & (labels.xyxy[:, 1] < layout.rows * tile_size))
+        total += len(labels)
+        kept += int(found.sum())
+        dropped += int((in_grid & ~found).sum())
     _write_text(os.path.join(args.out_dir, "tiles.csv"), write_tile_manifest(manifest_rows))
     _echo_config(args.out_dir, dataclasses.replace(config, input_size=tile_size))
     print(
         f"tiled {len(images)} image(s) into {len(manifest_rows)} tile(s) "
-        f"({tile_size}px, {args.policy}); kept {kept} of {total} annotation(s)"
+        f"({tile_size}px, {args.policy}); kept {kept} of {total} annotation(s) in "
+        f"{written} tile label(s), {dropped} dropped by min_visibility {config.min_visibility:g}"
     )
     return 0
 

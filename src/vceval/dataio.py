@@ -23,11 +23,19 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, clip_to, valid_detections
+from .boxes import (
+    BoundingBox,
+    Detection,
+    DetectionArrays,
+    GroundTruthBox,
+    LabelArrays,
+    clip_to,
+    valid_detections,
+)
 from .errors import (
     BadMagic,
     EmptyDataset,
@@ -53,8 +61,10 @@ _INT64_MAX = 2**63 - 1
 class AnnotatedImage:
     """An image entry: identity, extent, and its ground-truth boxes.
 
-    Boxes are clipped to the image extent on construction; boxes that fall
-    entirely outside are dropped.
+    The id names the image's files (``<id>.txt``, ``<id>_r<row>_c<col>.txt``),
+    so it must be a plain file name: not empty, ``.`` or ``..``, and without
+    ``/`` or NUL. Boxes are clipped to the image extent on construction;
+    boxes that fall entirely outside are dropped.
     """
 
     image_id: str
@@ -65,6 +75,8 @@ class AnnotatedImage:
     def __post_init__(self):
         if not self.image_id:
             raise ValueError("image_id must be non-empty")
+        if "/" in self.image_id or "\0" in self.image_id or self.image_id in (".", ".."):
+            raise ValueError(f"image id {self.image_id!r} is not a plain file name")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image extent must be positive")
         clipped = []
@@ -86,12 +98,36 @@ class DatasetSplit:
             raise ValueError("train and test sets overlap")
 
 
-def _lines(content: str) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(content.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line
+def _split_rows(content: str) -> tuple[list[list[str]], list[list[str]]]:
+    """The fields of every line, and those of the lines that are neither
+    blank nor ``#`` comments."""
+    parts = list(map(str.split, content.splitlines()))
+    rows = list(filter(None, parts))
+    if "#" in content:
+        rows = [p for p in rows if not p[0].startswith("#")]
+    return parts, rows
+
+
+def _columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first field of rows of n fields as int64 class ids, and the
+    other n - 1 as float64 columns; every field is converted once. Raises
+    ValueError or OverflowError when a row has another field count or a
+    field does not convert."""
+    if rows and set(map(len, rows)) != {n}:
+        raise ValueError("field count")
+    fields = list(chain.from_iterable(rows))
+    class_id = np.array(list(map(int, fields[0::n])), dtype=np.int64)
+    del fields[0::n]
+    return class_id, np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, n - 1)
+
+
+def _raise_first_bad(parts, rows, first_bad: int, check, *args) -> NoReturn:
+    """Run the per-line check over rows from position first_bad on, with
+    each row's line number, so the first bad line raises its own error."""
+    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
+    for k in range(first_bad, len(rows)):
+        check(line_nos[k], rows[k], *args)
+    raise AssertionError("the vectorised checks disagree with the per-line ones")
 
 
 def _check_class_id(line_no: int, class_id: int) -> None:
@@ -101,57 +137,90 @@ def _check_class_id(line_no: int, class_id: int) -> None:
         raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
 
 
-def parse_label_file(content: str, image_w: int, image_h: int) -> list[GroundTruthBox]:
+def _check_label_line(line_no: int, parts: list[str], image_w: int, image_h: int) -> None:
+    """Raise the error of one split label line, if it has one. The checks
+    run in this order, so a line reports the first that fails."""
+    if len(parts) != 5:
+        raise MalformedLine(line_no, f"expected 5 fields, got {len(parts)}")
+    try:
+        class_id = int(parts[0])
+        cx, cy, w, h = (float(p) for p in parts[1:])
+    except ValueError:
+        raise MalformedLine(line_no, "non-numeric field") from None
+    _check_class_id(line_no, class_id)
+    for name, v in (("cx", cx), ("cy", cy)):
+        if not 0.0 <= v <= 1.0:
+            raise OutOfRange(line_no, f"{name}={v:g} outside [0, 1]")
+    for name, v in (("w", w), ("h", h)):
+        if not 0.0 < v <= 1.0:
+            raise OutOfRange(line_no, f"{name}={v:g} outside (0, 1]")
+    try:
+        BoundingBox(
+            x_min=(cx - w / 2.0) * image_w,
+            y_min=(cy - h / 2.0) * image_h,
+            width=w * image_w,
+            height=h * image_h,
+        )
+    except ValueError as exc:
+        raise OutOfRange(line_no, str(exc)) from None
+
+
+def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
     """Parse normalized center-format labels into pixel corner-format boxes.
 
     Fields cx, cy must lie in [0,1] and w, h in (0,1]; the converted pixel
     box is clipped to the image so annotations that overhang an edge (legal
-    in the normalized encoding, e.g. cx=0.9 w=0.4) stay within bounds.
+    in the normalized encoding, e.g. cx=0.9 w=0.4) stay within bounds, and
+    a box left empty by the clip is dropped. The lines are split once and
+    every field is converted once; the checks of _check_label_line then run
+    over all lines as array operations, and a file that fails any of them
+    raises the error of its first bad line.
     """
-    out: list[GroundTruthBox] = []
-    for line_no, line in _lines(content):
-        parts = line.split()
-        if len(parts) != 5:
-            raise MalformedLine(line_no, f"expected 5 fields, got {len(parts)}")
-        try:
-            class_id = int(parts[0])
-            cx, cy, w, h = (float(p) for p in parts[1:])
-        except ValueError:
-            raise MalformedLine(line_no, "non-numeric field") from None
-        _check_class_id(line_no, class_id)
-        for name, v in (("cx", cx), ("cy", cy)):
-            if not 0.0 <= v <= 1.0:
-                raise OutOfRange(line_no, f"{name}={v:g} outside [0, 1]")
-        for name, v in (("w", w), ("h", h)):
-            if not 0.0 < v <= 1.0:
-                raise OutOfRange(line_no, f"{name}={v:g} outside (0, 1]")
-        try:
-            box = BoundingBox(
-                x_min=(cx - w / 2.0) * image_w,
-                y_min=(cy - h / 2.0) * image_h,
-                width=w * image_w,
-                height=h * image_h,
-            )
-        except ValueError as exc:
-            raise OutOfRange(line_no, str(exc)) from None
-        clipped = clip_to(box, image_w, image_h)
-        if clipped is not None:
-            out.append(GroundTruthBox(box=clipped, class_id=class_id))
-    return out
+    parts, rows = _split_rows(content)
+    if not rows:
+        return LabelArrays(np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
+    first_bad = 0
+    try:
+        class_id, values = _columns(rows, 5)
+        extent_w, extent_h = float(image_w), float(image_h)
+    except (ValueError, OverflowError):
+        pass  # a field count, a field, a class id or an extent is bad; the scan below finds it
+    else:
+        cx, cy, w, h = values.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_min = (cx - w / 2.0) * extent_w
+            y_min = (cy - h / 2.0) * extent_h
+            width = w * extent_w
+            height = h * extent_h
+            area = width * height
+        ok = ((class_id >= 0) & (cx >= 0.0) & (cx <= 1.0) & (cy >= 0.0) & (cy <= 1.0)
+              & (w > 0.0) & (w <= 1.0) & (h > 0.0) & (h <= 1.0) & (width > 0.0) & (height > 0.0)
+              & np.isfinite(x_min) & np.isfinite(y_min) & np.isfinite(width)
+              & np.isfinite(height) & np.isfinite(area))
+        if ok.all():
+            # clip_to, as columns; max(v, 0.0) keeps a -0.0, as np.maximum does not
+            x1, y1 = np.where(x_min < 0.0, 0.0, x_min), np.where(y_min < 0.0, 0.0, y_min)
+            clipped_w = np.minimum(x_min + width, extent_w) - x1
+            clipped_h = np.minimum(y_min + height, extent_h) - y1
+            keep = (clipped_w > 0.0) & (clipped_h > 0.0)
+            xywh = np.stack((x1, y1, clipped_w, clipped_h), axis=1)
+            return LabelArrays(class_id[keep], xywh[keep])
+        first_bad = int(np.argmin(ok))
+    _raise_first_bad(parts, rows, first_bad, _check_label_line, image_w, image_h)
 
 
 def write_label_file(
     boxes: Sequence[GroundTruthBox], image_w: int, image_h: int
 ) -> str:
-    """Inverse of parse_label_file: pixel corner boxes to normalized lines."""
-    lines = []
-    for g in boxes:
-        cx, cy = g.box.center
-        lines.append(
-            f"{g.class_id} {cx / image_w:.6f} {cy / image_h:.6f} "
-            f"{g.box.width / image_w:.6f} {g.box.height / image_h:.6f}"
-        )
-    return "".join(line + "\n" for line in lines)
+    """Inverse of parse_label_file: pixel corner boxes to normalized
+    ``class_id cx cy w h`` lines, six decimal places, formatted from the
+    columns."""
+    cols = LabelArrays.of(boxes)
+    x, y, w, h = cols.xywh.T
+    with np.errstate(over="ignore"):
+        normalized = ((x + w / 2.0) / image_w, (y + h / 2.0) / image_h, w / image_w, h / image_h)
+    rows = zip(cols.class_id.tolist(), *(c.tolist() for c in normalized))
+    return "".join(map("%d %.6f %.6f %.6f %.6f\n".__mod__, rows))
 
 
 def _check_detection_line(line_no: int, parts: list[str]) -> None:
@@ -183,18 +252,10 @@ def parse_detection_file(content: str) -> DetectionArrays:
     of _check_detection_line then run over all lines as array operations.
     A file that fails any of them raises the error of its first bad line.
     """
-    parts = list(map(str.split, content.splitlines()))
-    rows = list(filter(None, parts))
-    if "#" in content:
-        rows = [p for p in rows if not p[0].startswith("#")]
+    parts, rows = _split_rows(content)
     first_bad = 0
     try:
-        if rows and set(map(len, rows)) != {6}:
-            raise ValueError("field count")
-        fields = list(chain.from_iterable(rows))
-        class_id = np.array(list(map(int, fields[0::6])), dtype=np.int64)
-        del fields[0::6]
-        values = np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, 5)
+        class_id, values = _columns(rows, 6)
     except (ValueError, OverflowError):
         pass  # a field count, a field or a class id is bad; the scan below finds it
     else:
@@ -203,10 +264,7 @@ def parse_detection_file(content: str) -> DetectionArrays:
         if ok.all():
             return DetectionArrays(score.copy(), class_id, xywh.copy())
         first_bad = int(np.argmin(ok))
-    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
-    for k in range(first_bad, len(rows)):
-        _check_detection_line(line_nos[k], rows[k])
-    raise AssertionError("the vectorised detection checks disagree with the per-line ones")
+    _raise_first_bad(parts, rows, first_bad, _check_detection_line)
 
 
 def write_detection_file(dets: Sequence[Detection]) -> str:

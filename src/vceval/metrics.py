@@ -5,10 +5,11 @@ curve is anchored at (recall 0, precision 1) and integrated with all-point
 interpolation. The evaluation IoU threshold is a parameter everywhere and
 defaults to 0.30 at the configuration layer, not here.
 
-Detections, match flags and curve points travel as columns
-(DetectionArrays, FlagArrays, PointArrays), which also read as sequences
-of Detection, DetectionFlag and PRPoint; the functions accept either form
-and build an object only when one is indexed or iterated.
+Detections, ground truths, match flags and curve points travel as columns
+(DetectionArrays, LabelArrays, FlagArrays, PointArrays), which also read as
+sequences of Detection, GroundTruthBox, DetectionFlag and PRPoint; the
+functions accept either form and build an object only when one is indexed
+or iterated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import Detection, DetectionArrays, GroundTruthBox, RecordArrays, boxes_to_xyxy
+from .boxes import Detection, DetectionArrays, GroundTruthBox, LabelArrays, RecordArrays
 from . import _kernels
 from .errors import EmptyClassSet, NoGroundTruth
 
@@ -158,8 +159,9 @@ def match_detections(
 
     The flags come image by image (sorted ids), within an image class by
     class in order of first appearance, each class in descending score
-    (ties by index). A DetectionArrays value is matched as it stands; any
-    other sequence of detections is converted to one first.
+    (ties by index). A DetectionArrays or LabelArrays value is matched as
+    it stands; any other sequence of detections or ground truths is
+    converted to one first.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
@@ -169,13 +171,12 @@ def match_detections(
     columns = [(empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool))]
     gt_classes = [empty]
     for image, image_id in enumerate(image_ids):
-        gts = gts_by_image.get(image_id, ())
-        gt_class = np.array([g.class_id for g in gts], dtype=np.int64)
+        gts = LabelArrays.of(gts_by_image.get(image_id, ()))
+        gt_class = gts.class_id
         gt_classes.append(gt_class)
         dets = DetectionArrays.of(dets_by_image.get(image_id, ()))
         if not len(dets):
             continue
-        gt_xyxy = boxes_to_xyxy([g.box for g in gts])
         is_tp = np.zeros(len(dets), dtype=bool)
         order = []
         classes, first = np.unique(dets.class_id, return_index=True)
@@ -184,7 +185,7 @@ def match_detections(
             rows = rows[np.argsort(-dets.score[rows], kind="stable")]
             cols = np.flatnonzero(gt_class == class_id)
             if cols.size:
-                ious = _kernels.iou_matrix(dets.xyxy[rows], gt_xyxy[cols])
+                ious = _kernels.iou_matrix(dets.xyxy[rows], gts.xyxy[cols])
                 is_tp[rows] = _greedy(ious, iou_threshold)
             order.append(rows)
         order = np.concatenate(order)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .boxes import BoundingBox, GroundTruthBox, clip_to
+import numpy as np
+
+from .boxes import BoundingBox, GroundTruthBox, LabelArrays
 from .dataio import read_csv_table
 from .errors import MalformedLine, NotMultipleOf32, ShapeOverflow, TileLargerThanImage
 
@@ -61,6 +63,34 @@ class TileLayout:
     def tile_count(self) -> int:
         return self.rows * self.columns
 
+    def rows_by_tile(self, xyxy: np.ndarray) -> list[np.ndarray]:
+        """For each tile of tiles(), in that order, the ascending positions
+        of the boxes of ``xyxy`` (corner rows with x_min, y_min >= 0) that
+        can reach it. The work is linear in the boxes and the pairs found.
+
+        A box reaches columns ceil(x_min / s) - 1 through floor(x_max / s)
+        of the grid, and rows likewise; float floor division is exact. That
+        covers every tile where remap_to_tile can keep the box. In a tile
+        that ends before x_min the box starts past the right edge (local
+        x > s), and in one that starts after x_max it ends at or before the
+        left edge (local x_max <= 0): it is neither inside nor clipped to
+        anything. A box starting on an edge goes to the tiles on both sides,
+        as one narrower than half an ulp of the edge is inside the left one.
+        """
+        s = self.tile_size
+        first = np.maximum(-(-xyxy[:, :2] // s) - 1, 0).astype(np.int64)
+        last = np.minimum(xyxy[:, 2:] // s, (self.columns - 1, self.rows - 1)).astype(np.int64)
+        span = np.maximum(last - first + 1, 0)
+        count = span[:, 0] * span[:, 1]
+        box = np.repeat(np.arange(len(xyxy)), count)
+        k = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+        first, across = first[box], span[box, 0]
+        tile = (first[:, 1] + k // across) * self.columns + first[:, 0] + k % across
+        order = np.lexsort((box, tile))
+        bounds = np.searchsorted(tile[order], np.arange(self.tile_count + 1)).tolist()
+        box = box[order]
+        return [box[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 def plan_tiles(
     source_w: int, source_h: int, tile_size: int, padding_policy: str = PAD_EDGE
@@ -101,32 +131,48 @@ def plan_tiles(
 
 
 def remap_to_tile(
-    gt: GroundTruthBox, tile: TileRef, tile_size: int, min_visibility: float = 0.3
-) -> Optional[GroundTruthBox]:
-    """Express a global ground truth in tile-local coordinates.
+    gt: GroundTruthBox | LabelArrays,
+    tile: TileRef,
+    tile_size: int,
+    min_visibility: float = 0.3,
+) -> GroundTruthBox | LabelArrays | None:
+    """Express global ground truths in tile-local coordinates.
 
-    The box is translated to the tile origin and clipped to the tile square;
-    it is dropped when the visible fraction (clipped area over original
-    area) falls below min_visibility.
+    Each box is translated to the tile origin. One that lies fully inside
+    the tile square keeps its translated values, so tile_to_global restores
+    it exactly. Any other is clipped to the square, and dropped when the
+    clip is empty or the visible fraction (clipped area over original area)
+    falls below min_visibility.
+
+    A LabelArrays gives the LabelArrays of its kept rows, in order; one
+    GroundTruthBox is the one-row case and gives a GroundTruthBox or None.
     """
     if not 0.0 < min_visibility <= 1.0:
         raise ValueError("min_visibility must be in (0, 1]")
-    local = gt.box.translated(-tile.origin_x, -tile.origin_y)
-    if (
-        local.x_min >= 0.0
-        and local.y_min >= 0.0
-        and local.x_max <= tile_size
-        and local.y_max <= tile_size
-    ):
-        # fully visible: pass the translated box through untouched so the
-        # inverse translation restores the global box exactly
-        return GroundTruthBox(box=local, class_id=gt.class_id)
-    clipped = clip_to(local, tile_size, tile_size)
-    if clipped is None:
-        return None
-    if clipped.area / gt.box.area < min_visibility:
-        return None
-    return GroundTruthBox(box=clipped, class_id=gt.class_id)
+    if tile_size <= 0:
+        raise ValueError("extents must be positive")
+    labels = LabelArrays.of([gt]) if isinstance(gt, GroundTruthBox) else gt
+    # x + (-origin), as BoundingBox.translated adds it: a -0.0 comes out 0.0
+    x = labels.xywh[:, 0] + -tile.origin_x
+    y = labels.xywh[:, 1] + -tile.origin_y
+    w, h = labels.xywh[:, 2], labels.xywh[:, 3]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_max, y_max = x + w, y + h
+        inside = (x >= 0.0) & (y >= 0.0) & (x_max <= tile_size) & (y_max <= tile_size)
+        x1, y1 = np.maximum(x, 0.0), np.maximum(y, 0.0)
+        clipped_w = np.minimum(x_max, tile_size) - x1
+        clipped_h = np.minimum(y_max, tile_size) - y1
+        area = w * h
+        # an area that underflows to 0 takes the fraction side by side
+        visible = np.where(area > 0.0, clipped_w * clipped_h / area,
+                           (clipped_w / w) * (clipped_h / h))
+    keep = inside | ((clipped_w > 0.0) & (clipped_h > 0.0) & ~(visible < min_visibility))
+    xywh = np.where(inside[:, None], np.stack((x, y, w, h), axis=1),
+                    np.stack((x1, y1, clipped_w, clipped_h), axis=1))
+    kept = LabelArrays(labels.class_id[keep], xywh[keep])
+    if labels is gt:
+        return kept
+    return kept[0] if len(kept) else None
 
 
 def tile_to_global(box: BoundingBox, tile: TileRef) -> BoundingBox:

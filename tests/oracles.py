@@ -1,8 +1,10 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately naive (quadratic loops, no vectorization,
-no shared code with the package) so a bug in the fast paths cannot hide in
-its own oracle.
+no shared code with the fast paths) so a bug in them cannot hide in its
+own oracle. The label and remap oracles use the package's box objects and
+clip_to, as the per-object code they keep did; the others use only the
+package's error types.
 """
 
 from __future__ import annotations
@@ -237,3 +239,97 @@ def f1_max_ref(flags, total_gt):
         if value > best_f1 or (value == best_f1 and score > best_t):
             best_f1, best_t = value, score
     return best_f1, best_t
+
+
+def parse_labels_ref(content, image_w, image_h):
+    """The line-by-line label parser: normalized ``class_id cx cy w h``
+    lines to (class_id, x_min, y_min, width, height) tuples of the pixel box
+    clipped to the image, a box left empty by the clip dropped. Raises the
+    format errors of the first bad line: field count, non-numeric field and
+    a class id below 0 or beyond 64 bits (MalformedLine), a center outside
+    [0, 1], a size outside (0, 1] and a pixel box BoundingBox refuses
+    (OutOfRange)."""
+    from vceval.boxes import BoundingBox
+    from vceval.errors import MalformedLine, OutOfRange
+
+    out = []
+    for line_no, raw in enumerate(content.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise MalformedLine(line_no, f"expected 5 fields, got {len(parts)}")
+        try:
+            class_id = int(parts[0])
+            cx, cy, w, h = (float(p) for p in parts[1:])
+        except ValueError:
+            raise MalformedLine(line_no, "non-numeric field") from None
+        if class_id < 0:
+            raise MalformedLine(line_no, f"negative class id {class_id}")
+        if class_id > 2**63 - 1:
+            raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
+        for name, v in (("cx", cx), ("cy", cy)):
+            if not 0.0 <= v <= 1.0:
+                raise OutOfRange(line_no, f"{name}={v:g} outside [0, 1]")
+        for name, v in (("w", w), ("h", h)):
+            if not 0.0 < v <= 1.0:
+                raise OutOfRange(line_no, f"{name}={v:g} outside (0, 1]")
+        try:
+            box = BoundingBox(
+                x_min=(cx - w / 2.0) * image_w,
+                y_min=(cy - h / 2.0) * image_h,
+                width=w * image_w,
+                height=h * image_h,
+            )
+        except ValueError as exc:
+            raise OutOfRange(line_no, str(exc)) from None
+        x1 = max(box.x_min, 0.0)
+        y1 = max(box.y_min, 0.0)
+        x2 = min(box.x_max, image_w)
+        y2 = min(box.y_max, image_h)
+        if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
+            continue
+        out.append((class_id, x1, y1, x2 - x1, y2 - y1))
+    return out
+
+
+def write_labels_ref(rows, image_w, image_h):
+    """The per-object label writer: one f-string line per
+    (class_id, x_min, y_min, width, height) tuple, center format normalized
+    by the image extent."""
+    lines = []
+    for class_id, x_min, y_min, width, height in rows:
+        cx, cy = x_min + width / 2.0, y_min + height / 2.0
+        lines.append(
+            f"{class_id} {cx / image_w:.6f} {cy / image_h:.6f} "
+            f"{width / image_w:.6f} {height / image_h:.6f}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def remap_ref(gt, tile, tile_size, min_visibility=0.3):
+    """The per-object remap of one GroundTruthBox into one tile: translate;
+    pass a fully visible box through untouched; otherwise clip to the tile
+    square and drop an empty clip or one whose visible fraction is below
+    min_visibility. Returns a GroundTruthBox or None."""
+    from vceval.boxes import GroundTruthBox, clip_to
+
+    if not 0.0 < min_visibility <= 1.0:
+        raise ValueError("min_visibility must be in (0, 1]")
+    local = gt.box.translated(-tile.origin_x, -tile.origin_y)
+    if (
+        local.x_min >= 0.0
+        and local.y_min >= 0.0
+        and local.x_max <= tile_size
+        and local.y_max <= tile_size
+    ):
+        # fully visible: pass the translated box through untouched so the
+        # inverse translation restores the global box exactly
+        return GroundTruthBox(box=local, class_id=gt.class_id)
+    clipped = clip_to(local, tile_size, tile_size)
+    if clipped is None:
+        return None
+    if clipped.area / gt.box.area < min_visibility:
+        return None
+    return GroundTruthBox(box=clipped, class_id=gt.class_id)

@@ -8,6 +8,7 @@ from vceval.boxes import (
     Detection,
     DetectionArrays,
     GroundTruthBox,
+    LabelArrays,
     boxes_to_xyxy,
     clip_to,
     iou,
@@ -195,6 +196,19 @@ class TestArrayHelpers:
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+
+    def test_label_arrays_read_as_ground_truths(self):
+        gts = [GroundTruthBox(BoundingBox(0.0, 1.0, 2.0, 3.0), 1),
+               GroundTruthBox(BoundingBox(-1.5, 0.25, 1.0, 0.5), 2**63 - 1)]
+        cols = LabelArrays.of(gts)
+        assert LabelArrays.of(cols) is cols
+        assert cols == gts and list(cols) == gts and cols[-1] == gts[1]
+        assert cols.class_id.dtype == np.int64 and cols.xywh.dtype == np.float64
+        assert cols.xyxy.tolist() == [[0.0, 1.0, 2.0, 4.0], [-1.5, 0.25, -0.5, 0.75]]
+        empty = LabelArrays.of([])
+        assert len(empty) == 0 and empty.xyxy.shape == (0, 4)
+        with pytest.raises(IndexError):
+            cols[2]
 
     def test_detection_arrays_concat_and_take(self):
         a = DetectionArrays.of([Detection(BoundingBox(0.0, 1.0, 2.0, 3.0), 1, 0.5)])

@@ -77,6 +77,39 @@ class TestTile:
         assert len(tile11) == 1 and tile11[0].startswith("1 ")
         assert "kept 2 of 3" in capsys.readouterr().out
 
+    def run_tile(self, tmp_path, capsys, extent, labels, *flags):
+        (tmp_path / "labels").mkdir()
+        make_manifest(tmp_path / "images.csv", [("img", *extent)])
+        (tmp_path / "labels" / "img.txt").write_text(labels)
+        rc = cli.main(["tile", "--manifest", str(tmp_path / "images.csv"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--out-dir", str(tmp_path / "tiles"), *flags])
+        assert rc == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("visibility, summary", [
+        ("0.3", "kept 1 of 1 annotation(s) in 2 tile label(s), 0 dropped by min_visibility 0.3"),
+        ("0.6", "kept 0 of 1 annotation(s) in 0 tile label(s), 1 dropped by min_visibility 0.6"),
+    ])
+    def test_summary_counts_annotations_not_pairs(self, tmp_path, capsys, visibility, summary):
+        # one box across the seam of an 832x416 frame, half on each side
+        out = self.run_tile(tmp_path, capsys, (832, 416), "0 0.5 0.5 0.2 0.2\n",
+                            "--tile-size", "416", "--min-visibility", visibility)
+        assert out == ("tiled 1 image(s) into 2 tile(s) (416px, pad-edge); " + summary + "\n")
+
+    def test_summary_under_drop_partial(self, tmp_path, capsys):
+        # a 128x96 frame holds one 96 px tile; one box inside it, one past
+        # its right edge (x 96-112) and one across that edge (x 80-112)
+        out = self.run_tile(tmp_path, capsys, (128, 96),
+                            "0 0.25 0.5 0.125 0.25\n1 0.8125 0.5 0.125 0.25\n"
+                            "2 0.75 0.5 0.25 0.25\n",
+                            "--tile-size", "96", "--policy", "drop-partial",
+                            "--min-visibility", "0.6")
+        assert out == ("tiled 1 image(s) into 1 tile(s) (96px, drop-partial); kept 1 of 3 "
+                       "annotation(s) in 1 tile label(s), 1 dropped by min_visibility 0.6\n")
+        assert (tmp_path / "tiles" / "img_r0_c0.txt").read_text() == \
+            "0 0.333333 0.500000 0.166667 0.250000\n"
+
     def test_pad_edge_vs_drop_partial(self, tmp_path):
         labels = tmp_path / "labels"
         labels.mkdir()
@@ -981,6 +1014,12 @@ def _assert_clean_exit(work, argv):
         assert first.startswith("error: ") and work in first, first
 
 
+# ids that are not a plain file name; the first ones would put files
+# outside the output directory ({tmp} is the test's temporary directory)
+_ESCAPING_IDS = ["../escape", "../../escape", "{tmp}/escape", "sub/../escape", "a/b", "..", ".",
+                 "a\0b"]
+
+
 class TestFileExitCodes:
     @settings(max_examples=120, deadline=None)
     @given(manifest=_mutated(_IMAGES, ","), label_a=_mutated(_LABELS, " "),
@@ -1035,6 +1074,24 @@ class TestFileExitCodes:
                                       "--comparisons", "{work}/cmp.json",
                                       "--out", "{work}/report.txt"])
 
+    @pytest.mark.parametrize("image_id", _ESCAPING_IDS)
+    def test_tile_refuses_the_id_and_writes_nothing_outside(self, tmp_path, capsys, image_id):
+        # the label file an id of ../escape would read sits beside the manifest
+        image_id = image_id.replace("{tmp}", str(tmp_path))
+        work = tmp_path / "work"
+        (work / "labels").mkdir(parents=True)
+        (work / "images.csv").write_text(f"image_id,width,height\n{image_id},832,416\n")
+        (work / "escape.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        before = sorted(p for p in tmp_path.rglob("*") if work not in p.parents)
+        rc = cli.main(["tile", "--manifest", str(work / "images.csv"), "--labels-dir",
+                       str(work / "labels"), "--out-dir", str(work / "out"), "--tile-size", "416"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert err.startswith(f"error: {work / 'images.csv'}: ")
+        assert sorted(p for p in tmp_path.rglob("*") if work not in p.parents) == before
+        assert not (work / "out").exists() and sorted(os.listdir(work)) == [
+            "escape.txt", "images.csv", "labels"]
+
 
 class TestErrorsNameFileAndLine:
     """A bad row after blank lines, a bad label, bad observations and an
@@ -1049,6 +1106,16 @@ class TestErrorsNameFileAndLine:
         rc, err = self.run(capsys, ["tile", "--manifest", str(tmp_path / "m.csv"),
                                     "--labels-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2 and f"{tmp_path / 'm.csv'}: line 4: " in err
+
+    @pytest.mark.parametrize("image_id", ["../escape", "a/b", ".."])
+    def test_image_id_that_is_not_a_file_name(self, tmp_path, capsys, image_id):
+        (tmp_path / "m.csv").write_text(
+            f"image_id,width,height\nok,832,416\n\n{image_id},832,416\n")
+        rc, err = self.run(capsys, ["tile", "--manifest", str(tmp_path / "m.csv"),
+                                    "--labels-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == (f"error: {tmp_path / 'm.csv'}: line 4: image id {image_id!r} "
+                       "is not a plain file name\n")
 
     def test_tile_manifest(self, tmp_path, capsys):
         (tmp_path / "tiles.csv").write_text(

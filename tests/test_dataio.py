@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vceval import boxes, dataio
-from vceval.boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox
+from vceval.boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, LabelArrays
 from vceval.dataio import (
     MAX_TENSOR_ELEMENTS,
     TENSOR_MAGIC,
@@ -36,7 +36,7 @@ from vceval.errors import (
 )
 from vceval.netops import RawHeadTensor
 
-from oracles import parse_detections_ref, write_detections_ref
+from oracles import parse_detections_ref, parse_labels_ref, write_detections_ref, write_labels_ref
 
 
 class TestLabelFormat:
@@ -495,3 +495,123 @@ class TestDetectionWriterAgainstOracle:
 
     def test_columns_live_in_boxes(self):
         assert dataio.DetectionArrays is boxes.DetectionArrays
+
+
+# --- columnar label parser and writer against the per-line oracles --------
+
+_LABEL_CLASS_TOKENS = ["0", "2", "-1", "+1", "-0", str(2**63 - 1), str(2**63), "1.0", "x"]
+_UNIT_TOKENS = ["0.5", "0", "-0.0", "1", "1.0000001", "5e-324", "0.3", "0.999", "nan", "inf",
+                "-inf", "abc"]
+_LABEL_VALID = [["0", "2"], ["0.5", "0.25", "0.9", "0"], ["0.5", "0.1", "1.0"]]
+
+
+@st.composite
+def _label_line(draw):
+    """A label line, each field valid in about three draws of four, with
+    4-6 fields; centers and sizes draw from the awkward unit values."""
+    n_fields = draw(st.sampled_from([5, 5, 5, 5, 4, 6]))
+    pools = [(_LABEL_VALID[0], _LABEL_CLASS_TOKENS), (_LABEL_VALID[1], _UNIT_TOKENS),
+             (_LABEL_VALID[1], _UNIT_TOKENS), (_LABEL_VALID[2], _UNIT_TOKENS),
+             (_LABEL_VALID[2], _UNIT_TOKENS)]
+    tokens = [
+        draw(st.sampled_from(valid if draw(st.integers(0, 3)) else awkward))
+        for valid, awkward in pools[:n_fields]
+    ] + ["0.5"] * (n_fields - 5)
+    if draw(st.integers(0, 3)) == 0:
+        tokens[draw(st.integers(1, min(n_fields, 5) - 1))] = repr(draw(st.floats(0.0, 1.0)))
+    return draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from([" ", "\t"])).join(tokens)
+
+
+_LABEL_OTHER_LINES = st.sampled_from(["", "  ", "# comment", " # 0 0.5 0.5 0.1 0.1", "#"])
+
+
+def _label_rows(labels):
+    return [(g.class_id, g.box.x_min, g.box.y_min, g.box.width, g.box.height) for g in labels]
+
+
+class TestLabelParserAgainstOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(st.one_of(_label_line(), _LABEL_OTHER_LINES), max_size=10),
+           newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans(),
+           extent=st.sampled_from([(416, 416), (832, 416), (1, 3), (5472, 3648),
+                                   (65536, 32), (2**32, 2**32), (0, 10), (10**200, 10**200)]))
+    def test_same_rows_or_same_first_error(self, lines, newline, trailing, extent):
+        text = newline.join(lines) + (newline if trailing else "")
+        got = _outcome(lambda t: parse_label_file(t, *extent), text)
+        want = _outcome(lambda t: parse_labels_ref(t, *extent), text)
+        if got[0] == "ok" and want[0] == "ok":
+            labels = got[1]
+            assert isinstance(labels, LabelArrays)
+            rows = list(zip(labels.class_id.tolist(), *labels.xywh.T.tolist()))
+            # repr tells -0.0 from 0.0
+            assert repr(rows) == repr(want[1])
+            assert repr(_label_rows(labels)) == repr(want[1])
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("0 nan 0.5 0.1 0.1", OutOfRange),
+            ("0 0.5 inf 0.1 0.1", OutOfRange),
+            ("0 0.5 0.5 -inf 0.1", OutOfRange),
+            ("0 0.5 0.5 0.1 1.0000001", OutOfRange),
+            ("0 0.5 0.5 0 0.1", OutOfRange),
+            ("-1 0.5 0.5 0.1 0.1", MalformedLine),
+            (f"{2**63} 0.5 0.5 0.1 0.1", MalformedLine),
+            ("0 0.5 0.5 0.1", MalformedLine),
+            ("0 0.5 0.5 0.1 0.1 0.1", MalformedLine),
+        ],
+    )
+    def test_named_cases_report_their_line(self, line, error):
+        text = "# labels\n\n0 0.5 0.5 0.1 0.1\n" + line + "\n0 0.5 0.5 0.1 0.1\n"
+        outcomes = [_outcome(lambda t: parse(t, 416, 416), text)
+                    for parse in (parse_label_file, parse_labels_ref)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (error, 4)
+
+    def test_awkward_values_that_parse(self):
+        text = (f"{2**63 - 1} 5e-324 0.5 5e-324 1\n"  # a clip to a subnormal width
+                "0 -0.0 0.5 5e-324 0.5\n"  # x_min is -0.0, which clip_to keeps
+                "1 1 1 1 1\n")
+        labels = parse_label_file(text, 416, 416)
+        assert repr(_label_rows(labels)) == repr(parse_labels_ref(text, 416, 416))
+        assert labels.class_id.tolist() == [2**63 - 1, 0, 1]
+        # clip_to recomputes the width from the clipped corners
+        assert labels[2].box == BoundingBox(208.0, 208.0, 208.0, 208.0)
+
+    def test_box_left_empty_by_the_clip_is_dropped(self):
+        # x_min rounds to 416 and x_min + 2e-321 to 416 again: nothing is left
+        text = "0 1 0.5 5e-324 0.1\n0 0.5 0.5 0.25 0.25\n"
+        assert parse_labels_ref(text, 416, 416) == [(0, 156.0, 156.0, 104.0, 104.0)]
+        assert parse_label_file(text, 416, 416) == \
+            [GroundTruthBox(BoundingBox(156.0, 156.0, 104.0, 104.0), 0)]
+
+
+_PIXELS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 208.0, 415.9999999, 416.0,
+                                     1e17, 1e300]),
+                    st.floats(0.0, 1e6))
+
+
+class TestLabelWriterAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_CLASS_IDS, _PIXELS, _PIXELS, _PIXELS, _PIXELS), max_size=8),
+           extent=st.sampled_from([(416, 416), (832, 416), (1, 1), (65536, 3)]))
+    def test_columns_write_the_oracle_bytes(self, rows, extent):
+        cols = LabelArrays(np.array([r[0] for r in rows], dtype=np.int64),
+                           np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 4))
+        assert write_label_file(cols, *extent) == write_labels_ref(rows, *extent)
+
+    def test_objects_write_the_same_bytes_as_their_columns(self):
+        rng = random.Random(83)
+        gts = [
+            GroundTruthBox(BoundingBox(rng.choice([-0.0, 2.5e-7, rng.uniform(0, 500)]),
+                                       rng.uniform(0, 500), rng.choice([5e-324, 1e17, 41.6]),
+                                       rng.uniform(0.01, 80)),
+                           class_id=rng.choice([0, 3, 2**63 - 1]))
+            for _ in range(50)
+        ]
+        text = write_label_file(gts, 416, 320)
+        assert text == write_label_file(LabelArrays.of(gts), 416, 320)
+        assert text == write_labels_ref(_label_rows(gts), 416, 320)
+        assert write_label_file([], 416, 416) == ""

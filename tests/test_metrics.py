@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vceval.boxes import BoundingBox, Detection, GroundTruthBox
+from vceval.boxes import BoundingBox, Detection, GroundTruthBox, LabelArrays
 from vceval.errors import EmptyClassSet, NoGroundTruth
 from vceval.metrics import (
     DetectionFlag,
@@ -407,6 +407,9 @@ class TestMatchAgainstOracle:
                        for i, ds in det_objs.items()}
             # the written file rounds to 6 decimals, which the grid survives
             assert evaluate(columns, gt_objs, 0.5) == evaluate(det_objs, gt_objs, 0.5)
+            labels = {i: LabelArrays.of(g) for i, g in gt_objs.items()}
+            assert evaluate(det_objs, labels, 0.5) == evaluate(det_objs, gt_objs, 0.5)
+            assert evaluate(columns, labels, 0.5) == evaluate(det_objs, gt_objs, 0.5)
 
 
 def _iou_is(value, det, gt):

@@ -1,4 +1,5 @@
-"""Byte identity of the pipeline's outputs on two seeded benchmark workloads.
+"""Byte identity of the pipeline's outputs on two seeded benchmark workloads
+and on one frame whose boxes lie across tile edges.
 
 The inputs come from ``perfbench/generate.py`` (imported, never modified).
 ``tile``, ``decode``, ``eval``, ``compare`` and ``report`` run in process as
@@ -8,15 +9,19 @@ every file of that kind. ``report`` runs inside the output directory with a
 relative observation path, because ``report.txt`` quotes that path. The
 seed-1 detection and evaluation digests were taken before evaluation became
 columnar, the seed-2 ones before decode did, the tile, comparison and
-report digests before the input rules were merged, and the dense-lowscore
-seed-3 ones before NMS searched only pairs that can reach the threshold;
-CHANGES.md says how.
+report digests before the input rules were merged, the dense-lowscore
+seed-3 ones before NMS searched only pairs that can reach the threshold,
+and the study-3x5 seed-3 and straddle-frame ones before tiling became
+columnar; CHANGES.md says how. The benchmark generator never puts a tile
+edge through a box, so only the straddle frame reaches the clip and the
+visibility floor.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import random
 import shutil
 
 import pytest
@@ -95,6 +100,38 @@ EXPECTED = {
         "comparison_*.csv": "c04a21e9f79dbdaa8df62bdc0b49de9673aac1d79169de1441ce14330a7face1",
         "report.txt": "92f461785e2efda532626fafe5e0d830c11f0529e21a840147f6ea96465cc936",
     },
+    ("study-3x5", 3): {
+        ".det.txt": "8a9514b8fea3330f674200e7742b842b2fae125855cf34d1dc436a2dbe4df817",
+        "metrics.csv": "5e0d156c1375515c4a6f3bb9582c0fe45b4a5143812d9429c0df4e86590b87e3",
+        "pr_curves.csv": "3719dea53bed11b49a3e24d9f3aaa8579762ea3f3c07ed60b3b87a241487f11e",
+        "observations.csv": "4c17abebf90ee1463f55eff54f11bd0175b3d9fc20d016f3118877f3234d8c7f",
+        "tile .txt": "b5a9cd1c822b00d624c00d6e5d979a8a09f83bb5de4c97bd61c4a4e8daaad657",
+        "tiles.csv": "9dea901132d772bb24dd51d37443b615efe20903cdf1acf8f5f7d18ccd5ebb68",
+        "comparison_*.json": "6798ee04ca65321dc006e166f32202e74d2abfd532354f9201c590454e784d1f",
+        "comparison_*.csv": "12c98f593314039edbd26492e35db4968ee9e2c0f0336bd9d148c1d5a05ded2f",
+        "report.txt": "7a9cd6103676ec9ba1c54c59778bebf4361e8a30d40a8dc18e126aef65328591",
+    },
+}
+
+
+# the digests of run_straddle under each policy
+STRADDLE = {
+    "pad-edge": {
+        ".det.txt": "cb64a0e8adf7f7c3e67dab295b23edb2caf6c18e075fa167fe416e34543a8d6d",
+        "metrics.csv": "12154b468944505dad96d622b32ac399acd6e7a602929511fa208422e0a3bf39",
+        "pr_curves.csv": "be90a631dd3625c6ab0273f1e75f75d347ffbb7f986d784743ff2fd0825dd901",
+        "observations.csv": "1a52de34bf841582418c12e99ab94200a61a18849584fe1cf85b284749e6edd8",
+        "tile .txt": "cea0ec096727010a599f4b993deea4aae353660beb5a258c50ba2695ca38adb7",
+        "tiles.csv": "68103907015c600e544ca738d7e07b95240b24c82c2cba6cb94694f20991697c",
+    },
+    "drop-partial": {
+        ".det.txt": "c6330701be9d608447b8e45863a2fd9b6a55d0f21d7bce1cf0ec674bc5c25235",
+        "metrics.csv": "989d75125fe0642b5b8b281f13315766cd526f374704afb4d3b5dd79c01662d0",
+        "pr_curves.csv": "72f72e80704490f93559ad499311efed8c2523c7b5aa0d013a0632d4bb213481",
+        "observations.csv": "9aad242d4bb611a66a6c15de62e1798e4d6e8b2c439e4ad14990f66191bd53ae",
+        "tile .txt": "b2211a53458a1a8e9ac809f9c6d991cf3f3e2b7aebfa9509ab2fe5793e3176d6",
+        "tiles.csv": "b5d9fd1b40b567936d4089872ff65ca9c06213d6a5c1e804ecba79864f693791",
+    },
 }
 
 
@@ -138,6 +175,11 @@ def run_workload(generate, workload: str, seed: int, work: str) -> dict[str, str
             assert cli.main(report) == 0, report
         finally:
             os.chdir(cwd)
+    return digests(out)
+
+
+def digests(out: str) -> dict[str, str]:
+    """The digest of each kind of output file under ``out``."""
     lines = {}
     for root, _, files in os.walk(out):
         for name in files:
@@ -154,6 +196,72 @@ def run_workload(generate, workload: str, seed: int, work: str) -> dict[str, str
     }
 
 
+def straddle_frame(inputs: str) -> None:
+    """A 1000x700 frame (an image manifest and one label file) whose 48
+    boxes mostly lie across the 416 px tile edges, with about 30 % on one
+    side, some 900 px wide across three columns, and some below the one
+    row of 416 px tiles that drop-partial keeps."""
+    rng = random.Random(8)
+    extent_w, extent_h = 1000, 700
+    lines = []
+    while len(lines) < 48:
+        w = rng.choice([10.0, 24.0, 900.0, rng.uniform(5.0, 120.0)])
+        h = rng.choice([10.0, rng.uniform(5.0, 80.0)])
+        share = rng.choice([0.3, 0.29, 0.31, 0.5, 0.7, rng.random()])
+        x = rng.choice([416.0, 832.0]) - w * share
+        y = rng.choice([416.0 - h * share, rng.uniform(0.0, extent_h - h)])
+        cx, cy = (x + w / 2.0) / extent_w, (y + h / 2.0) / extent_h
+        if cx <= 1.0 and cy <= 1.0:
+            lines.append(f"{len(lines) % 2} {cx!r} {cy!r} {w / extent_w!r} {h / extent_h!r}\n")
+    os.makedirs(os.path.join(inputs, "labels"))
+    with open(os.path.join(inputs, "images.csv"), "w") as fh:
+        fh.write(f"image_id,width,height\nframe,{extent_w},{extent_h}\n")
+    with open(os.path.join(inputs, "labels", "frame.txt"), "w") as fh:
+        fh.write("".join(lines))
+
+
+def detections_for(tiles: str, dets: str, tile_size: int) -> None:
+    """One detection file per tile label file: each label moved by up to
+    3 px and scaled by 0.8-1.2 with a drawn score, and two false
+    positives."""
+    rng = random.Random(9)
+    os.makedirs(dets)
+    for name in sorted(os.listdir(tiles)):
+        if not name.endswith(".txt"):
+            continue
+        rows = []
+        with open(os.path.join(tiles, name)) as fh:
+            for line in fh:
+                class_id, *box = line.split()
+                cx, cy, w, h = (float(v) * tile_size for v in box)
+                w, h = w * rng.uniform(0.8, 1.2), h * rng.uniform(0.8, 1.2)
+                rows.append((int(class_id), rng.random(), cx - w / 2.0 + rng.uniform(-3, 3),
+                             cy - h / 2.0 + rng.uniform(-3, 3), w, h))
+        for _ in range(2):
+            rows.append((rng.randint(0, 1), rng.random(), rng.uniform(0, 380),
+                         rng.uniform(0, 380), rng.uniform(4, 36), rng.uniform(4, 36)))
+        with open(os.path.join(dets, name[: -len(".txt")] + ".det.txt"), "w") as fh:
+            fh.write("".join("%d %.6f %.6f %.6f %.6f %.6f\n" % r for r in rows))
+
+
+def run_straddle(policy: str, work: str) -> dict[str, str]:
+    """Tile the straddle frame at 416 px under ``policy``, decode nothing
+    (detections_for writes the detections), evaluate, and return the
+    digest of each output kind."""
+    inputs, out = os.path.join(work, "inputs"), os.path.join(work, "out")
+    straddle_frame(inputs)
+    tiles = os.path.join(out, "tiles")
+    dets = os.path.join(out, "dets")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tile", "--manifest", os.path.join(inputs, "images.csv"),
+                         "--labels-dir", os.path.join(inputs, "labels"), "--out-dir", tiles,
+                         "--tile-size", "416", "--policy", policy]) == 0
+        detections_for(tiles, dets, 416)
+        assert cli.main(["eval", "--detections-dir", dets, "--labels-dir", tiles,
+                         "--out-dir", os.path.join(out, "eval"), "--run-id", "straddle"]) == 0
+    return digests(out)
+
+
 @pytest.fixture(scope="module")
 def generate():
     with pytest.MonkeyPatch.context() as mp:
@@ -165,3 +273,8 @@ def generate():
 @pytest.mark.parametrize("workload, seed", sorted(EXPECTED))
 def test_outputs_are_byte_identical(generate, tmp_path, workload, seed):
     assert run_workload(generate, workload, seed, str(tmp_path)) == EXPECTED[workload, seed]
+
+
+@pytest.mark.parametrize("policy", sorted(STRADDLE))
+def test_boxes_across_tile_edges_give_the_same_bytes(tmp_path, policy):
+    assert run_straddle(policy, str(tmp_path)) == STRADDLE[policy]
