@@ -253,19 +253,25 @@ def decode_grid(raw, anchors, stride, score_threshold, objectness_threshold):
     # score <= objectness, so a cell whose objectness is below either
     # threshold fails; gate on the raw logit before any sigmoid
     floor = _logit_floor(max(score_threshold, objectness_threshold))
-    ai, yi, xi = np.nonzero(raw[:, 4] >= floor)     # C order == (a, y, x) scan
+    gated = raw[:, 4] >= floor
+    flat = np.flatnonzero(gated)                    # C order == (a, y, x) scan
+    if flat.size == 0:
+        return np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
+    ai, yi, xi = np.unravel_index(flat, gated.shape)
     cells = raw[ai, :, yi, xi]                      # (M, 5+K)
     prob = sigmoid(cells)
     best_cls = np.argmax(prob[:, 5:], axis=1)       # first max wins
     score = prob[:, 4] * prob[np.arange(len(prob)), 5 + best_cls]
-    kept = (prob[:, 4] >= objectness_threshold) & (score >= score_threshold)
+    kept = np.flatnonzero((prob[:, 4] >= objectness_threshold) & (score >= score_threshold))
+    ai, yi, xi, cells, prob = ai[kept], yi[kept], xi[kept], cells[kept], prob[kept]
 
-    bx = (xi[kept] + prob[kept, 0]) * stride
-    by = (yi[kept] + prob[kept, 1]) * stride
+    boxes = np.empty((kept.size, 4))
     # a large size logit overflows to an infinite side; the caller rejects it
     with np.errstate(over="ignore"):
-        bw = anchors[ai[kept], 0] * np.exp(cells[kept, 2])
-        bh = anchors[ai[kept], 1] * np.exp(cells[kept, 3])
-
-    boxes = np.stack([bx - bw / 2.0, by - bh / 2.0, bw, bh], axis=1)
-    return boxes, score[kept], best_cls[kept].astype(np.int64)
+        bw = anchors[ai, 0] * np.exp(cells[:, 2])
+        bh = anchors[ai, 1] * np.exp(cells[:, 3])
+    boxes[:, 0] = (xi + prob[:, 0]) * stride - bw / 2.0
+    boxes[:, 1] = (yi + prob[:, 1]) * stride - bh / 2.0
+    boxes[:, 2] = bw
+    boxes[:, 3] = bh
+    return boxes, score[kept], best_cls[kept].astype(np.int64, copy=False)

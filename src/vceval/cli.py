@@ -196,28 +196,56 @@ def _decode_stems(tensors_dir: str) -> list[str]:
     return sorted(stems)
 
 
+# The most candidates decode gathers from consecutive tiles for one NMS: enough
+# to spread NMS's fixed set-up over many sparse tiles. A tile that would take
+# a batch past it starts a new batch, since NMS time grows faster than its
+# input: 40 dense tiles of about 1,100 candidates took 18 % longer in calls of
+# two tiles than in one call per tile.
+_NMS_BATCH = 1 << 11
+
+
+def _write_detections(stems: list[str], heads: list[DetectionArrays], config: HarnessConfig,
+                      out_dir: str) -> None:
+    """Suppress within each tile by one NMS over a batch of tiles, and write
+    each tile's ``.det.txt``. ``heads`` holds the decoded heads of ``stems``,
+    one per scale, in stem order.
+
+    Each tile's class ids are offset by its slot times the class count, so
+    no box meets a box of another tile; the kept rows of one tile come out
+    in that tile's own scan order, as an NMS of the tile alone gives them.
+    """
+    k = len(config.class_names)
+    dets = DetectionArrays.concat(heads)
+    slot = np.repeat(np.arange(len(heads)) // len(SCALE_SUFFIXES), [len(h) for h in heads])
+    kept = nms(DetectionArrays(dets.score, dets.class_id + slot * k, dets.xywh),
+               config.nms_iou_threshold)
+    tile = kept.class_id // k
+    rows = np.argsort(tile, kind="stable")
+    ends = np.cumsum(np.bincount(tile, minlength=len(stems)))
+    for stem, part in zip(stems, np.split(rows, ends[:-1])):
+        local = DetectionArrays(kept.score[part], kept.class_id[part] % k, kept.xywh[part])
+        _write_text(os.path.join(out_dir, stem + ".det.txt"), write_detection_file(local))
+
+
 def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
     grids = grid_shape(config.input_size)
     strides = (32, 16, 8)
     # coarsest grid (stride 32) takes the largest anchor triple
-    anchor_sets = (
-        config.anchors[6:9],
-        config.anchors[3:6],
-        config.anchors[0:3],
-    )
+    anchor_sets = [[AnchorBox(w, h) for w, h in config.anchors[i:i + 3]] for i in (6, 3, 0)]
     stems = _decode_stems(args.tensors_dir)
     if not stems:
         raise VCEvalError(f"no .s0/.s1/.s2 .vct tensor files in {args.tensors_dir}")
     os.makedirs(args.out_dir, exist_ok=True)
-    written = 0
+    batch, heads, pending = [], [], 0
     for stem in stems:
         parts = []
         for scale_idx, suffix in enumerate(SCALE_SUFFIXES):
             path = os.path.join(args.tensors_dir, stem + suffix)
-            if not os.path.exists(path):
-                raise VCEvalError(f"{stem}: missing scale file {stem + suffix}")
-            with open(path, "rb") as fh:
-                data = fh.read()
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except FileNotFoundError:
+                raise VCEvalError(f"{stem}: missing scale file {stem + suffix}") from None
             with _naming(path):
                 tensor = read_tensor(data)
                 side = grids[scale_idx]
@@ -231,24 +259,26 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
                         f"{tensor.num_classes} classes in tensor, "
                         f"config names {len(config.class_names)}"
                     )
-                anchors = [AnchorBox(w, h) for w, h in anchor_sets[scale_idx]]
                 parts.append(
                     decode_head(
                         tensor,
-                        anchors,
+                        anchor_sets[scale_idx],
                         strides[scale_idx],
                         config.score_threshold,
                         objectness_threshold=config.objectness_threshold,
                     )
                 )
-        survivors = nms(DetectionArrays.concat(parts), config.nms_iou_threshold)
-        _write_text(
-            os.path.join(args.out_dir, stem + ".det.txt"),
-            write_detection_file(survivors),
-        )
-        written += 1
+        count = sum(map(len, parts))
+        if batch and pending + count > _NMS_BATCH:
+            _write_detections(batch, heads, config, args.out_dir)
+            batch, heads, pending = [], [], 0
+        batch.append(stem)
+        heads.extend(parts)
+        pending += count
+    if batch:
+        _write_detections(batch, heads, config, args.out_dir)
     _echo_config(args.out_dir, config)
-    print(f"decoded {written} image(s) at input size {config.input_size}")
+    print(f"decoded {len(stems)} image(s) at input size {config.input_size}")
     return 0
 
 

@@ -299,12 +299,14 @@ def read_tensor(data: bytes) -> RawHeadTensor:
     if count > MAX_TENSOR_ELEMENTS:
         raise ShapeOverflow(f"declared shape {c}x{h}x{w} is beyond the element cap")
     expected = count * 4
-    payload = data[_TENSOR_HEADER.size :]
-    if len(payload) < expected:
+    carried = len(data) - _TENSOR_HEADER.size
+    if carried < expected:
         raise TruncatedPayload(
-            f"payload carries {len(payload)} bytes, header declares {expected}"
+            f"payload carries {carried} bytes, header declares {expected}"
         )
-    values = np.frombuffer(payload[:expected], dtype="<f4").reshape(c, h, w)
+    # a view of the payload in ``data``; astype makes the one copy
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=_TENSOR_HEADER.size)
+    values = values.reshape(c, h, w)
     try:
         return RawHeadTensor(values=values.astype(np.float64))
     except ValueError as exc:  # the only ValueError: non-finite values

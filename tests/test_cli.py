@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vceval import cli
+from vceval import _kernels, cli
+from vceval.boxes import DetectionArrays, nms
 from vceval.config import HarnessConfig
-from vceval.dataio import read_tensor, write_tensor
-from vceval.netops import RawHeadTensor
+from vceval.dataio import read_tensor, write_detection_file, write_tensor
+from vceval.netops import AnchorBox, RawHeadTensor, decode_head
 from vceval.tiler import read_tile_manifest
 
 
@@ -385,13 +386,14 @@ class TestDecode:
         )
         assert rc == 2
 
-    def test_missing_scale_file_rejected(self, tmp_path):
+    def test_missing_scale_file_rejected(self, tmp_path, capsys):
         write_scale_tensors(tmp_path / "t", "tile_f")
         os.remove(tmp_path / "t" / "tile_f.s1.vct")
         rc = cli.main(
             ["decode", "--tensors-dir", str(tmp_path / "t"), "--out-dir", str(tmp_path / "o")]
         )
         assert rc == 2
+        assert "error: tile_f: missing scale file tile_f.s1.vct" in capsys.readouterr().err
 
     def test_empty_tensor_dir_rejected(self, tmp_path):
         (tmp_path / "t").mkdir()
@@ -456,6 +458,70 @@ class TestDecode:
         )
         assert rc == 2
         assert f"tile_i.s1.vct: decoded detection 0: {reason}" in capsys.readouterr().err
+
+    def test_batched_nms_equals_per_stem_nms(self, tmp_path, monkeypatch):
+        # at input size 32 and thresholds 0 every (anchor, cell) is a
+        # candidate: 3 * (1 + 4 + 16) = 63 per stem, so 42 stems span two
+        # batches; the twins sort last and share the second batch, with the
+        # same tile-local boxes and classes
+        rng = np.random.default_rng(5)
+        tensors = tmp_path / "t"
+        tensors.mkdir()
+        stems = [f"s{i:02d}" for i in range(40)] + ["twin_a", "twin_b"]
+        for stem in stems[:-1]:
+            for suffix, side in zip(cli.SCALE_SUFFIXES, (1, 2, 4)):
+                vals = rng.normal(0.0, 2.0, size=(21, side, side))
+                tensors.joinpath(stem + suffix).write_bytes(write_tensor(RawHeadTensor(vals)))
+        for suffix in cli.SCALE_SUFFIXES:
+            tensors.joinpath("twin_b" + suffix).write_bytes(
+                tensors.joinpath("twin_a" + suffix).read_bytes())
+        assert 63 * 33 > cli._NMS_BATCH >= 63 * 32  # the first batch holds 32 stems
+        calls = []
+        nms_keep = _kernels.nms_keep
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return nms_keep(*args)
+
+        monkeypatch.setattr(_kernels, "nms_keep", counted)
+        out = tmp_path / "o"
+        rc = cli.main(["decode", "--tensors-dir", str(tensors), "--out-dir", str(out),
+                       "--input-size", "32", "--score-threshold", "0",
+                       "--objectness-threshold", "0"])
+        assert rc == 0
+        assert calls == [63 * 32, 63 * 10]
+        config = HarnessConfig(input_size=32, score_threshold=0.0, objectness_threshold=0.0)
+        anchor_sets = [[AnchorBox(w, h) for w, h in config.anchors[i:i + 3]] for i in (6, 3, 0)]
+        for stem in stems:
+            parts = [
+                decode_head(read_tensor(tensors.joinpath(stem + suffix).read_bytes()),
+                            anchors, stride, 0.0, objectness_threshold=0.0)
+                for suffix, anchors, stride in zip(cli.SCALE_SUFFIXES, anchor_sets, (32, 16, 8))
+            ]
+            want = write_detection_file(
+                nms(DetectionArrays.concat(parts), config.nms_iou_threshold))
+            assert (out / f"{stem}.det.txt").read_text() == want, stem
+        twin = (out / "twin_a.det.txt").read_text()
+        assert twin and twin == (out / "twin_b.det.txt").read_text()
+
+    def test_error_inside_a_batch_leaves_no_later_file(self, tmp_path, capsys):
+        # every stem fits in one batch; stem 5 fails while it is unflushed
+        tensors = tmp_path / "t"
+        for i in range(10):
+            write_scale_tensors(tensors, f"s{i}", hot=(1, 0, 1, 1, 1), input_size=32)
+        path = tensors / "s5.s1.vct"
+        vals = read_tensor(path.read_bytes()).values
+        vals[2, 1, 1] = 1000.0  # the hot candidate's width logit
+        path.write_bytes(write_tensor(RawHeadTensor(vals)))
+        out = tmp_path / "o"
+        rc = cli.main(["decode", "--tensors-dir", str(tensors), "--out-dir", str(out),
+                       "--input-size", "32"])
+        assert rc == 2
+        assert (f"{path}: decoded detection 0: x_min must be finite"
+                in capsys.readouterr().err)
+        assert not list(out.glob("*.tmp"))
+        for i in range(5, 10):
+            assert not (out / f"s{i}.det.txt").exists()
 
 
 # finite float32 values at the edges: the largest magnitude, logits whose

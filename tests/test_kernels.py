@@ -145,6 +145,7 @@ def test_kernels_accept_empty_inputs():
         np.full((3, 6, 2, 2), -5.0), np.ones((3, 2)), 32.0, 0.5, 0.5
     )
     assert boxes.shape == (0, 4) and scores.shape == (0,) and classes.shape == (0,)
+    assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
 
 
 @pytest.mark.parametrize("num_classes", [1, 3])
@@ -196,6 +197,29 @@ def test_decode_grid_matches_oracle(score_threshold, objectness_threshold):
         want = np.array([v[:5] for v in want]).reshape(-1, 5)
         np.testing.assert_allclose(boxes, want[:, :4], rtol=1e-14, atol=1e-12)
         np.testing.assert_allclose(scores, want[:, 4], rtol=1e-14, atol=0)
+
+
+def test_decode_grid_empty_gate_matches_oracle():
+    # three heads of one tile, where the logit gate passes no cell of some
+    # heads, or only the cells of some anchors
+    rng = np.random.default_rng(43)
+    anchors = np.array([[10.0, 13.0], [16.0, 30.0], [33.0, 23.0]])
+    empty = 0
+    for trial in range(30):
+        for side in (1, 2, 4):
+            raw = rng.normal(0.0, 3.0, size=(3, 7, side, side))
+            quiet = rng.random(3) < (0.3, 0.6, 1.0)[trial % 3]
+            raw[quiet, 4] = -50.0  # objectness far below the gate
+            boxes, scores, classes = _kernels.decode_grid(raw, anchors, 8.0, 0.3, 0.3)
+            want = decode_ref(raw, anchors, 8.0, 0.3, 0.3)
+            assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
+            assert boxes.shape == (len(want), 4) and scores.shape == classes.shape == (len(want),)
+            assert classes.tolist() == [c for *_, c in want]
+            want = np.array([v[:5] for v in want]).reshape(-1, 5)
+            np.testing.assert_allclose(boxes, want[:, :4], rtol=1e-14, atol=1e-12)
+            np.testing.assert_allclose(scores, want[:, 4], rtol=1e-14, atol=0)
+            empty += quiet.all()
+    assert empty >= 10  # the fast path ran
 
 
 @pytest.mark.parametrize("p", [1e-300, 0.001, 0.3, 0.5, 0.999, 1 - 1e-7, 1.0])
