@@ -215,14 +215,47 @@ class LabelArrays(RecordArrays):
         )
 
 
-def valid_detections(score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> np.ndarray:
-    """The rows that make a valid Detection, as a boolean mask: class >= 0,
-    score in [0, 1], finite x_min, y_min, width and height, sides > 0 and a
-    finite area. No numpy warning escapes for any input."""
+def box_rules(x_min, y_min, width, height, error=ValueError) -> list:
+    """BoundingBox's checks over columns, as rules in BoundingBox's order:
+    each field finite, then sides > 0, then the area finite. A rule is a
+    (bad-row mask, error class, reason) triple, as first_fault reads it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        area = xywh[:, 2] * xywh[:, 3]
-    return ((class_id >= 0) & (score >= 0.0) & (score <= 1.0) & (xywh[:, 2:] > 0.0).all(axis=1)
-            & np.isfinite(xywh).all(axis=1) & np.isfinite(area))
+        area = width * height
+    return [
+        (~np.isfinite(x_min), error, "x_min must be finite"),
+        (~np.isfinite(y_min), error, "y_min must be finite"),
+        (~np.isfinite(width), error, "width must be finite"),
+        (~np.isfinite(height), error, "height must be finite"),
+        ((width <= 0.0) | (height <= 0.0), error, "width and height must be > 0"),
+        (~np.isfinite(area), error, "box area must be finite"),
+    ]
+
+
+def detection_rules(score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> list:
+    """Detection's checks over columns, as rules in Detection's order: the
+    box's, then class >= 0, then score in [0, 1]."""
+    return [
+        *box_rules(*xywh.T),
+        (class_id < 0, ValueError, "class_id must be >= 0"),
+        (~((score >= 0.0) & (score <= 1.0)), ValueError,
+         lambda i: f"score {float(score[i])!r} outside [0, 1]"),
+    ]
+
+
+def first_fault(rules) -> Optional[tuple[int, type, object]]:
+    """The first row that breaks a rule, the error class of the first rule
+    it breaks and that rule's reason, or None when no row breaks any.
+
+    ``rules`` are (bad-row mask, error class, reason) triples in checking
+    order; a reason is a string or a function of the row. Accepting takes
+    one OR over the masks; the rule is looked for only on failure.
+    """
+    bad = np.logical_or.reduce([mask for mask, _, _ in rules])
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    _, error, reason = next(rule for rule in rules if rule[0][row])
+    return row, error, reason(row) if callable(reason) else reason
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -253,13 +286,8 @@ def clip_to(box: BoundingBox, extent_w: float, extent_h: float) -> Optional[Boun
 
 def boxes_to_xyxy(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """(N, 4) float64 corner array for the kernels."""
-    out = np.empty((len(boxes), 4), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        out[i, 0] = b.x_min
-        out[i, 1] = b.y_min
-        out[i, 2] = b.x_max
-        out[i, 3] = b.y_max
-    return out
+    xywh = np.array([(b.x_min, b.y_min, b.width, b.height) for b in boxes], dtype=np.float64)
+    return _corners(xywh.reshape(-1, 4))
 
 
 def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray:

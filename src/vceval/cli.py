@@ -317,6 +317,8 @@ def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> 
             if existing and not existing.startswith(OBSERVATION_HEADER):
                 raise VCEvalError(f"{path} does not look like an observation file")
             lines = existing if existing else OBSERVATION_HEADER + "\n"
+            if not lines.endswith("\n"):  # a last row without its newline
+                lines += "\n"
             for run_id, metric, group, value in rows:
                 lines += f"{run_id},{metric},{group},{value:.6f}\n"
             _write_text(path, lines)

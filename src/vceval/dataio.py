@@ -17,24 +17,23 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, Optional
 
 import numpy as np
 
 from .boxes import (
-    BoundingBox,
     Detection,
     DetectionArrays,
     GroundTruthBox,
     LabelArrays,
+    box_rules,
     clip_to,
-    valid_detections,
+    first_fault,
 )
 from .errors import (
     BadMagic,
@@ -108,61 +107,51 @@ def _split_rows(content: str) -> tuple[list[list[str]], list[list[str]]]:
     return parts, rows
 
 
-def _columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first field of rows of n fields as int64 class ids, and the
-    other n - 1 as float64 columns; every field is converted once. Raises
-    ValueError or OverflowError when a row has another field count or a
-    field does not convert."""
-    if rows and set(map(len, rows)) != {n}:
-        raise ValueError("field count")
-    fields = list(chain.from_iterable(rows))
-    class_id = np.array(list(map(int, fields[0::n])), dtype=np.int64)
-    del fields[0::n]
-    return class_id, np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, n - 1)
-
-
-def _raise_first_bad(parts, rows, first_bad: int, check, *args) -> NoReturn:
-    """Run the per-line check over rows from position first_bad on, with
-    each row's line number, so the first bad line raises its own error."""
-    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
-    for k in range(first_bad, len(rows)):
-        check(line_nos[k], rows[k], *args)
-    raise AssertionError("the vectorised checks disagree with the per-line ones")
-
-
-def _check_class_id(line_no: int, class_id: int) -> None:
-    if class_id < 0:
-        raise MalformedLine(line_no, f"negative class id {class_id}")
-    if class_id > _INT64_MAX:
-        raise MalformedLine(line_no, f"class id {class_id} does not fit in 64 bits")
-
-
-def _check_label_line(line_no: int, parts: list[str], image_w: int, image_h: int) -> None:
-    """Raise the error of one split label line, if it has one. The checks
-    run in this order, so a line reports the first that fails."""
-    if len(parts) != 5:
-        raise MalformedLine(line_no, f"expected 5 fields, got {len(parts)}")
+def _row_fault(row: list[str], n: int) -> Optional[str]:
+    """Why a row of fields does not convert, or None: another field count
+    than n, a field that is not a number, or a class id outside
+    [0, 2^63 - 1]."""
+    if len(row) != n:
+        return f"expected {n} fields, got {len(row)}"
     try:
-        class_id = int(parts[0])
-        cx, cy, w, h = (float(p) for p in parts[1:])
+        class_id = int(row[0])
+        list(map(float, row[1:]))
     except ValueError:
-        raise MalformedLine(line_no, "non-numeric field") from None
-    _check_class_id(line_no, class_id)
-    for name, v in (("cx", cx), ("cy", cy)):
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRange(line_no, f"{name}={v:g} outside [0, 1]")
-    for name, v in (("w", w), ("h", h)):
-        if not 0.0 < v <= 1.0:
-            raise OutOfRange(line_no, f"{name}={v:g} outside (0, 1]")
+        return "non-numeric field"
+    if class_id < 0:
+        return f"negative class id {class_id}"
+    if class_id > _INT64_MAX:
+        return f"class id {class_id} does not fit in 64 bits"
+    return None
+
+
+def _columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
+    """The first field of each row as int64 class ids and the other n - 1
+    as float64 columns, for the rows before the first that does not
+    convert (see _row_fault); and that row's fault as (position,
+    MalformedLine, reason), or None when every row converts. Every field is
+    converted once; the rows are scanned one by one only when that fails."""
     try:
-        BoundingBox(
-            x_min=(cx - w / 2.0) * image_w,
-            y_min=(cy - h / 2.0) * image_h,
-            width=w * image_w,
-            height=h * image_h,
-        )
-    except ValueError as exc:
-        raise OutOfRange(line_no, str(exc)) from None
+        if rows and set(map(len, rows)) != {n}:
+            raise ValueError("field count")
+        fields = list(chain.from_iterable(rows))
+        class_id = np.array(list(map(int, fields[0::n])), dtype=np.int64)
+        if (class_id < 0).any():
+            raise ValueError("negative class id")
+        del fields[0::n]
+        values = np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, n - 1)
+        return class_id, values, None
+    except (ValueError, OverflowError):
+        k, reason = next((k, r) for k, r in enumerate(_row_fault(row, n) for row in rows) if r)
+        class_id, values, _ = _columns(rows[:k], n)
+        return class_id, values, (k, MalformedLine, reason)
+
+
+def _raise_fault(parts: list[list[str]], row: int, error: type, reason) -> NoReturn:
+    """Raise error(line number, reason) for the row-th line that is
+    neither blank nor a ``#`` comment."""
+    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
+    raise error(line_nos[row], reason)
 
 
 def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
@@ -172,41 +161,38 @@ def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
     box is clipped to the image so annotations that overhang an edge (legal
     in the normalized encoding, e.g. cx=0.9 w=0.4) stay within bounds, and
     a box left empty by the clip is dropped. The lines are split once and
-    every field is converted once; the checks of _check_label_line then run
-    over all lines as array operations, and a file that fails any of them
-    raises the error of its first bad line.
+    every field is converted once; the rules then run over all rows as
+    array operations, and a file that breaks any raises the error of its
+    first bad line. A line is checked in this order: field count,
+    non-numeric field, class id outside [0, 2^63 - 1] (MalformedLine);
+    cx, cy, w, h in range, then BoundingBox's checks of the pixel box
+    (OutOfRange).
     """
     parts, rows = _split_rows(content)
-    if not rows:
-        return LabelArrays(np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
-    first_bad = 0
-    try:
-        class_id, values = _columns(rows, 5)
-        extent_w, extent_h = float(image_w), float(image_h)
-    except (ValueError, OverflowError):
-        pass  # a field count, a field, a class id or an extent is bad; the scan below finds it
-    else:
-        cx, cy, w, h = values.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_min = (cx - w / 2.0) * extent_w
-            y_min = (cy - h / 2.0) * extent_h
-            width = w * extent_w
-            height = h * extent_h
-            area = width * height
-        ok = ((class_id >= 0) & (cx >= 0.0) & (cx <= 1.0) & (cy >= 0.0) & (cy <= 1.0)
-              & (w > 0.0) & (w <= 1.0) & (h > 0.0) & (h <= 1.0) & (width > 0.0) & (height > 0.0)
-              & np.isfinite(x_min) & np.isfinite(y_min) & np.isfinite(width)
-              & np.isfinite(height) & np.isfinite(area))
-        if ok.all():
-            # clip_to, as columns; max(v, 0.0) keeps a -0.0, as np.maximum does not
-            x1, y1 = np.where(x_min < 0.0, 0.0, x_min), np.where(y_min < 0.0, 0.0, y_min)
-            clipped_w = np.minimum(x_min + width, extent_w) - x1
-            clipped_h = np.minimum(y_min + height, extent_h) - y1
-            keep = (clipped_w > 0.0) & (clipped_h > 0.0)
-            xywh = np.stack((x1, y1, clipped_w, clipped_h), axis=1)
-            return LabelArrays(class_id[keep], xywh[keep])
-        first_bad = int(np.argmin(ok))
-    _raise_first_bad(parts, rows, first_bad, _check_label_line, image_w, image_h)
+    class_id, values, unconverted = _columns(rows, 5)
+    extent_w, extent_h = float(image_w), float(image_h)
+    cx, cy, w, h = values.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_min = (cx - w / 2.0) * extent_w
+        y_min = (cy - h / 2.0) * extent_h
+        width = w * extent_w
+        height = h * extent_h
+    fault = first_fault([
+        (~((cx >= 0.0) & (cx <= 1.0)), OutOfRange, lambda i: f"cx={cx[i]:g} outside [0, 1]"),
+        (~((cy >= 0.0) & (cy <= 1.0)), OutOfRange, lambda i: f"cy={cy[i]:g} outside [0, 1]"),
+        (~((w > 0.0) & (w <= 1.0)), OutOfRange, lambda i: f"w={w[i]:g} outside (0, 1]"),
+        (~((h > 0.0) & (h <= 1.0)), OutOfRange, lambda i: f"h={h[i]:g} outside (0, 1]"),
+        *box_rules(x_min, y_min, width, height, OutOfRange),
+    ]) or unconverted
+    if fault:
+        _raise_fault(parts, *fault)
+    # clip_to, as columns; max(v, 0.0) keeps a -0.0, as np.maximum does not
+    x1, y1 = np.where(x_min < 0.0, 0.0, x_min), np.where(y_min < 0.0, 0.0, y_min)
+    clipped_w = np.minimum(x_min + width, extent_w) - x1
+    clipped_h = np.minimum(y_min + height, extent_h) - y1
+    keep = (clipped_w > 0.0) & (clipped_h > 0.0)
+    xywh = np.stack((x1, y1, clipped_w, clipped_h), axis=1)
+    return LabelArrays(class_id[keep], xywh[keep])
 
 
 def write_label_file(
@@ -223,48 +209,28 @@ def write_label_file(
     return "".join(map("%d %.6f %.6f %.6f %.6f\n".__mod__, rows))
 
 
-def _check_detection_line(line_no: int, parts: list[str]) -> None:
-    """Raise the error of one split detection line, if it has one. The
-    checks run in this order, so a line reports the first that fails."""
-    if len(parts) != 6:
-        raise MalformedLine(line_no, f"expected 6 fields, got {len(parts)}")
-    try:
-        class_id = int(parts[0])
-        score, *box = (float(p) for p in parts[1:])
-    except ValueError:
-        raise MalformedLine(line_no, "non-numeric field") from None
-    _check_class_id(line_no, class_id)
-    if not 0.0 <= score <= 1.0:
-        raise ScoreOutOfRange(line_no, score)
-    if box[2] <= 0 or box[3] <= 0:
-        raise OutOfRange(line_no, "box sides must be > 0")
-    for name, v in zip(("x_min", "y_min", "width", "height"), box):
-        if not math.isfinite(v):
-            raise OutOfRange(line_no, f"{name} must be finite")
-    if not math.isfinite(box[2] * box[3]):
-        raise OutOfRange(line_no, "box area must be finite")
-
-
 def parse_detection_file(content: str) -> DetectionArrays:
     """Parse ``class_id score x_min y_min width height`` lines.
 
-    The lines are split once and every field is converted once; the checks
-    of _check_detection_line then run over all lines as array operations.
-    A file that fails any of them raises the error of its first bad line.
+    The lines are split once and every field is converted once; the rules
+    then run over all rows as array operations, and a file that breaks any
+    raises the error of its first bad line. A line is checked in this
+    order: field count, non-numeric field, class id outside [0, 2^63 - 1]
+    (MalformedLine); score in [0, 1] (ScoreOutOfRange); sides > 0, then
+    BoundingBox's checks (OutOfRange).
     """
     parts, rows = _split_rows(content)
-    first_bad = 0
-    try:
-        class_id, values = _columns(rows, 6)
-    except (ValueError, OverflowError):
-        pass  # a field count, a field or a class id is bad; the scan below finds it
-    else:
-        score, xywh = values[:, 0], values[:, 1:]
-        ok = valid_detections(score, class_id, xywh)
-        if ok.all():
-            return DetectionArrays(score.copy(), class_id, xywh.copy())
-        first_bad = int(np.argmin(ok))
-    _raise_first_bad(parts, rows, first_bad, _check_detection_line)
+    class_id, values, unconverted = _columns(rows, 6)
+    score, xywh = values[:, 0], values[:, 1:]
+    x_min, y_min, width, height = xywh.T
+    fault = first_fault([
+        (~((score >= 0.0) & (score <= 1.0)), ScoreOutOfRange, lambda i: float(score[i])),
+        ((width <= 0.0) | (height <= 0.0), OutOfRange, "box sides must be > 0"),
+        *box_rules(x_min, y_min, width, height, OutOfRange),
+    ]) or unconverted
+    if fault:
+        _raise_fault(parts, *fault)
+    return DetectionArrays(score.copy(), class_id, xywh.copy())
 
 
 def write_detection_file(dets: Sequence[Detection]) -> str:

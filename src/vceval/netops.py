@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import sigmoid
-from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, valid_detections
+from .boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, detection_rules, first_fault
 from .errors import DegenerateBox, EmptyInput, NotMultipleOf32, OutOfBounds, ShapeMismatch
 
 ANCHORS_PER_SCALE = 3
@@ -223,14 +223,10 @@ def decode_head(
     )
     score = np.minimum(scores, 1.0)
     # the corners of a bad box are not formed, so no overflow warning escapes
-    ok = valid_detections(score, class_ids, xywh)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        try:
-            Detection(BoundingBox(*xywh[i].tolist()), int(class_ids[i]), float(score[i]))
-        except ValueError as exc:
-            raise DegenerateBox(f"decoded detection {i}: {exc}") from None
-        raise AssertionError("valid_detections disagrees with Detection")
+    fault = first_fault(detection_rules(score, class_ids, xywh))
+    if fault:
+        row, _, reason = fault
+        raise DegenerateBox(f"decoded detection {row}: {reason}")
     return DetectionArrays(score, class_ids, xywh)
 
 

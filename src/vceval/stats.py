@@ -412,21 +412,20 @@ def compare_pipeline(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if normality_scope not in ("pooled", "per-group"):
+        raise ValueError(f"unknown normality scope {normality_scope!r}")
+    if posthoc not in ("always", "on-significant"):
+        raise ValueError(f"unknown posthoc mode {posthoc!r}")
     if normality_scope == "pooled":
         normality = {"pooled": shapiro_wilk(table.pooled())}
-    elif normality_scope == "per-group":
-        normality = {label: shapiro_wilk(obs) for label, obs in table.groups}
     else:
-        raise ValueError(f"unknown normality scope {normality_scope!r}")
+        normality = {label: shapiro_wilk(obs) for label, obs in table.groups}
     parametric = all(r.p_value >= alpha for r in normality.values())
     if parametric:
         omnibus = one_way_anova(table)
     else:
         omnibus = kruskal_wallis(table)
-    run_posthoc = posthoc == "always" or omnibus.p_value < alpha
-    if posthoc not in ("always", "on-significant"):
-        raise ValueError(f"unknown posthoc mode {posthoc!r}")
-    if run_posthoc:
+    if posthoc == "always" or omnibus.p_value < alpha:
         pairs = tukey_hsd(table, alpha) if parametric else dunn_test(table, alpha)
     else:
         pairs = []

@@ -11,10 +11,11 @@ from vceval.boxes import (
     LabelArrays,
     boxes_to_xyxy,
     clip_to,
+    detection_rules,
+    first_fault,
     iou,
     iou_matrix,
     nms,
-    valid_detections,
 )
 
 from oracles import iou_ref, nms_ref
@@ -71,22 +72,33 @@ _EDGE_ROWS = [
 ]
 
 
-def _is_detection(row):
+def _detection_error(row):
     class_id, score, *xywh = row
     try:
         Detection(BoundingBox(*xywh), class_id, score)
-    except ValueError:
-        return False
-    return True
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-class TestValidDetections:
-    def test_mask_agrees_with_detection(self):
-        rows = np.array(_EDGE_ROWS)
-        # a numpy warning would fail the test (pytest's filterwarnings)
-        ok = valid_detections(rows[:, 1], rows[:, 0].astype(np.int64), rows[:, 2:])
-        assert ok.tolist() == [_is_detection(r) for r in _EDGE_ROWS]
-        assert ok.sum() == 6
+def _first_fault(rows):
+    rows = np.array(rows).reshape(-1, 6)
+    # a numpy warning would fail the test (pytest's filterwarnings)
+    return first_fault(detection_rules(rows[:, 1], rows[:, 0].astype(np.int64), rows[:, 2:]))
+
+
+class TestDetectionRules:
+    def test_first_fault_is_the_detection_error(self):
+        for row in _EDGE_ROWS:
+            want = _detection_error(row)
+            assert _first_fault([row]) == (None if want is None else (0, ValueError, want))
+        assert sum(_first_fault([row]) is None for row in _EDGE_ROWS) == 6
+
+    def test_first_bad_row_of_many(self):
+        assert _first_fault([]) is None
+        assert _first_fault(_EDGE_ROWS)[:2] == (1, ValueError)
+        assert _first_fault([_EDGE_ROWS[0]] * 3 + _EDGE_ROWS[-3:]) == \
+            (4, ValueError, "box area must be finite")
 
 
 class TestDetectionAndGroundTruth:

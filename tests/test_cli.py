@@ -22,6 +22,7 @@ from vceval.boxes import DetectionArrays, nms
 from vceval.config import HarnessConfig
 from vceval.dataio import read_tensor, write_detection_file, write_tensor
 from vceval.netops import AnchorBox, RawHeadTensor, decode_head
+from vceval.stats import parse_observations
 from vceval.tiler import read_tile_manifest
 
 
@@ -828,6 +829,12 @@ class TestWrites:
             f"w{w},map30,416,{k / 10:.6f}" for w in range(4) for k in range(10)
         )
         assert os.listdir(tmp_path) == ["observations.csv"]
+
+    def test_append_after_a_last_row_without_newline(self, tmp_path):
+        path = tmp_path / "observations.csv"
+        path.write_text(cli.OBSERVATION_HEADER + "\nr0,map30,416,0.500000")
+        cli._append_observations(str(path), [("r1", "map30", "416", 0.25)])
+        assert parse_observations(path.read_text()) == {"map30": {"416": [0.5, 0.25]}}
 
     def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
         path = tmp_path / "out.txt"

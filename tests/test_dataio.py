@@ -1,8 +1,9 @@
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vceval import boxes, dataio
@@ -394,6 +395,7 @@ class TestDetectionParserAgainstOracle:
     @given(lines=st.lists(st.one_of(_det_line(), _OTHER_LINES), max_size=12),
            newline=st.sampled_from(["\n", "\r\n"]),
            trailing=st.booleans())
+    @example(lines=["0 0.5 1 1 5 nan"], newline="\n", trailing=True)
     def test_same_rows_or_same_first_error(self, lines, newline, trailing):
         text = newline.join(lines) + (newline if trailing else "")
         got = _outcome(parse_detection_file, text)
@@ -429,6 +431,28 @@ class TestDetectionParserAgainstOracle:
             with pytest.raises(error) as err:
                 parse(text)
             assert err.value.line_no == 4
+
+    @pytest.mark.parametrize(
+        "line_3, line_5, error",
+        [
+            ("0 1.5 1 1 5 5", "0 0.5 x 1 5 5", ScoreOutOfRange),
+            ("0 0.5 x 1 5 5", "0 1.5 1 1 5 5", MalformedLine),
+            ("0 0.5 1 1 5 nan", "0 0.5 1 1 5", OutOfRange),
+            ("0 0.5 1 1 5", "0 0.5 1 1 5 nan", MalformedLine),
+            ("-1 0.5 1 1 5 5", "0 0.5 1 1 5 5 5", MalformedLine),
+        ],
+    )
+    def test_a_rule_and_a_conversion_fault_report_the_first_line(self, line_3, line_5, error):
+        text = "# detections\n\n" + line_3 + "\n0 0.5 1 1 5 5\n" + line_5 + "\n"
+        outcomes = [_outcome(parse, text) for parse in (parse_detection_file, parse_detections_ref)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (error, 3)
+
+    def test_a_nan_height_is_not_a_side_fault(self):
+        text = "0 0.5 1 1 5 5\n0 0.5 1 1 5 nan\n"
+        for parse in (parse_detection_file, parse_detections_ref):
+            with pytest.raises(OutOfRange, match="^line 2: height must be finite$"):
+                parse(text)
 
     def test_class_id_beyond_64_bits_is_malformed(self):
         # the oracle takes any integer; the columns hold int64 class ids
@@ -535,6 +559,7 @@ class TestLabelParserAgainstOracle:
            newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans(),
            extent=st.sampled_from([(416, 416), (832, 416), (1, 3), (5472, 3648),
                                    (65536, 32), (2**32, 2**32), (0, 10), (10**200, 10**200)]))
+    @example(lines=["0 0.5 0.5 0.1 nan"], newline="\n", trailing=True, extent=(416, 416))
     def test_same_rows_or_same_first_error(self, lines, newline, trailing, extent):
         text = newline.join(lines) + (newline if trailing else "")
         got = _outcome(lambda t: parse_label_file(t, *extent), text)
@@ -569,6 +594,37 @@ class TestLabelParserAgainstOracle:
                     for parse in (parse_label_file, parse_labels_ref)]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][:2] == (error, 4)
+
+    @pytest.mark.parametrize(
+        "line_3, line_5, error",
+        [
+            ("0 0.5 1.5 0.1 0.1", "0 0.5 0.5 0.1 x", OutOfRange),
+            ("0 0.5 0.5 0.1 x", "0 0.5 1.5 0.1 0.1", MalformedLine),
+            ("0 0.5 0.5 0.1 nan", f"{2**63} 0.5 0.5 0.1 0.1", OutOfRange),
+            (f"{2**63} 0.5 0.5 0.1 0.1", "0 0.5 0.5 0.1 nan", MalformedLine),
+            ("-1 0.5 0.5 0.1 0.1", "0 0.5 0.5 0.1", MalformedLine),
+        ],
+    )
+    def test_a_rule_and_a_conversion_fault_report_the_first_line(self, line_3, line_5, error):
+        text = "# labels\n\n" + line_3 + "\n0 0.5 0.5 0.1 0.1\n" + line_5 + "\n"
+        outcomes = [_outcome(lambda t: parse(t, 416, 416), text)
+                    for parse in (parse_label_file, parse_labels_ref)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (error, 3)
+
+    @pytest.mark.parametrize(
+        "line, extent, reason",
+        [
+            ("0 0.5 0.5 0.1 nan", (416, 416), "h=nan outside (0, 1]"),
+            ("0 0.5 0.5 1 1", (10**200, 10**200), "box area must be finite"),
+            ("0 0.5 0.5 1 1", (0, 10), "width and height must be > 0"),
+        ],
+    )
+    def test_reasons_of_the_range_and_box_rules(self, line, extent, reason):
+        text = "# labels\n" + line + "\n"
+        for parse in (parse_label_file, parse_labels_ref):
+            with pytest.raises(OutOfRange, match=f"^line 2: {re.escape(reason)}$"):
+                parse(text, *extent)
 
     def test_awkward_values_that_parse(self):
         text = (f"{2**63 - 1} 5e-324 0.5 5e-324 1\n"  # a clip to a subnormal width

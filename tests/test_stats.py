@@ -6,6 +6,7 @@ import random
 import pytest
 import scipy.stats as sps
 
+from vceval import stats
 from vceval.errors import (
     AllValuesEqual,
     EmptyDataset,
@@ -402,6 +403,15 @@ class TestComparePipeline:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             compare_pipeline(table((1.0, 2.0), (3.0, 4.0)), alpha=0.0)
+
+    @pytest.mark.parametrize("option", [{"posthoc": "bogus"}, {"normality_scope": "bogus"}])
+    def test_options_are_checked_before_any_test_runs(self, monkeypatch, option):
+        def no_test(*args):
+            raise AssertionError("shapiro_wilk ran before the options were checked")
+
+        monkeypatch.setattr(stats, "shapiro_wilk", no_test)
+        with pytest.raises(ValueError, match="unknown"):
+            compare_pipeline(table(*self.normal_groups()), **option)
 
     def test_report_to_dict_shape(self):
         report = compare_pipeline(table(*self.normal_groups()), alpha=0.05)
