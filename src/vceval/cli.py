@@ -4,14 +4,13 @@ Every command resolves its configuration from defaults, an optional JSON
 config file (--config or the VC_EVAL_CONFIG environment variable), and
 per-flag overrides, in that order. File writes are whole-file atomic
 (write to a temp file, then rename). Exit codes: 0 success, 2 malformed
-or missing input data, 3 configuration violations.
+or missing input data, 3 bad configuration or usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import fcntl
 import json
 import math
@@ -25,14 +24,16 @@ import numpy as np
 from . import __version__
 from . import stats as statsmod
 from .boxes import DetectionArrays, LabelArrays, nms
-from .config import CONFIG_ENV_VAR, MAX_INPUT_SIZE, HarnessConfig, load_config
+from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
     parse_detection_file,
     parse_label_file,
+    read_csv_table,
     read_image_manifest,
     read_tensor,
     split_dataset,
+    write_csv_table,
     write_detection_file,
     write_label_file,
 )
@@ -40,6 +41,8 @@ from .errors import ConfigError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from .netops import AnchorBox, decode_head, grid_shape
 from .tiler import (
+    PAD_EDGE,
+    PADDING_POLICIES,
     make_tile_id,
     plan_tiles,
     read_tile_manifest,
@@ -112,11 +115,7 @@ def _class_label(config: HarnessConfig, class_id: int) -> str:
 
 
 def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
-    tile_size = args.tile_size if args.tile_size is not None else config.input_size
-    if tile_size <= 0 or tile_size % 32 != 0:
-        raise ConfigError(f"tile size {tile_size} is not a positive multiple of 32")
-    if tile_size > MAX_INPUT_SIZE:
-        raise ConfigError(f"tile size {tile_size} is above the limit of {MAX_INPUT_SIZE}")
+    tile_size = config.input_size
     images = _parse_file(args.manifest, read_image_manifest)
     layouts = []
     for entry in images:
@@ -157,7 +156,7 @@ def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
         kept += int(found.sum())
         dropped += int((in_grid & ~found).sum())
     _write_text(os.path.join(args.out_dir, "tiles.csv"), write_tile_manifest(manifest_rows))
-    _echo_config(args.out_dir, dataclasses.replace(config, input_size=tile_size))
+    _echo_config(args.out_dir, config)
     print(
         f"tiled {len(images)} image(s) into {len(manifest_rows)} tile(s) "
         f"({tile_size}px, {args.policy}); kept {kept} of {total} annotation(s) in "
@@ -305,7 +304,8 @@ def _paired_stems(detections_dir: str, labels_dir: str) -> list[str]:
 
 def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> None:
     """Append rows under an exclusive flock on the observation file, so
-    concurrent writers neither lose rows nor write the header twice."""
+    concurrent writers neither lose rows nor write the header twice, and
+    refuse a (run id, metric) pair that the file holds: no run counts twice."""
     while True:
         with open(path, "a", encoding="utf-8") as locked:  # creates, never truncates
             fcntl.flock(locked, fcntl.LOCK_EX)
@@ -314,14 +314,19 @@ def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> 
             if not os.path.samestat(os.fstat(locked.fileno()), os.stat(path)):
                 continue
             existing = _read_text(path)
-            if existing and not existing.startswith(OBSERVATION_HEADER):
-                raise VCEvalError(f"{path} does not look like an observation file")
+            with _naming(path):
+                _, header, old_rows = read_csv_table(existing, "observation file")
+                if existing and header != OBSERVATION_HEADER.split(","):
+                    raise VCEvalError("does not look like an observation file")
+                taken = {(row[0], row[1]) for _, row in old_rows}
+                for run_id, metric, _, _ in rows:
+                    if (run_id, metric) in taken:
+                        raise VCEvalError(f"run id {run_id!r} already has a {metric} row")
             lines = existing if existing else OBSERVATION_HEADER + "\n"
             if not lines.endswith("\n"):  # a last row without its newline
                 lines += "\n"
-            for run_id, metric, group, value in rows:
-                lines += f"{run_id},{metric},{group},{value:.6f}\n"
-            _write_text(path, lines)
+            _write_text(path, lines + write_csv_table(
+                (run_id, metric, group, f"{value:.6f}") for run_id, metric, group, value in rows))
             return
 
 
@@ -467,22 +472,30 @@ def _comma_list(value: str) -> tuple[str, ...]:
     return tuple(n.strip() for n in value.split(",") if n.strip())
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags whose ``dest`` is a HarnessConfig field override that field."""
+def _one_line(value: str) -> str:
+    """An observation field: no line break, as csv would not quote a bare CR."""
+    if "\n" in value or "\r" in value:
+        raise argparse.ArgumentTypeError("must not hold a line break")
+    return value
+
+
+# The argparse keywords of the override flag of each config field, named
+# --<field> with dashes; HarnessConfig checks each value, whichever way it came.
+_OVERRIDE_FLAGS = {
+    **dict.fromkeys(("input_size", "seed"), {"type": int}),
+    **dict.fromkeys(("score_threshold", "objectness_threshold", "nms_iou_threshold",
+                     "eval_iou_threshold", "min_visibility", "alpha"), {"type": float}),
+    "class_names": {"type": _comma_list, "help": "comma-separated class names"},
+    "normality_scope": {"choices": statsmod.NORMALITY_SCOPES},
+    "posthoc": {"choices": statsmod.POSTHOC_MODES},
+}
+
+
+def _add_overrides(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """--config, and the override flag of each config field the command reads."""
     parser.add_argument("--config", help=f"JSON config path (default: ${CONFIG_ENV_VAR})")
-    parser.add_argument("--input-size", type=int, dest="input_size")
-    parser.add_argument("--score-threshold", type=float, dest="score_threshold")
-    parser.add_argument("--objectness-threshold", type=float, dest="objectness_threshold")
-    parser.add_argument("--nms-iou-threshold", type=float, dest="nms_iou_threshold")
-    parser.add_argument("--eval-iou-threshold", type=float, dest="eval_iou_threshold")
-    parser.add_argument("--min-visibility", type=float, dest="min_visibility")
-    parser.add_argument("--alpha", type=float, dest="alpha")
-    parser.add_argument("--class-names", dest="class_names", type=_comma_list,
-                        help="comma-separated class names")
-    parser.add_argument("--normality-scope", dest="normality_scope",
-                        choices=["pooled", "per-group"])
-    parser.add_argument("--posthoc", dest="posthoc",
-                        choices=["always", "on-significant"])
+    for field in fields:
+        parser.add_argument("--" + field.replace("_", "-"), **_OVERRIDE_FLAGS[field])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,47 +511,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="image manifest CSV")
     p.add_argument("--labels-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tile-size", type=int, default=None,
+    p.add_argument("--tile-size", type=int, dest="input_size", metavar="TILE_SIZE",
                    help="tile side in pixels (default: config input_size)")
-    p.add_argument("--policy", choices=["pad-edge", "drop-partial"], default="pad-edge")
-    _add_override_flags(p)
+    p.add_argument("--policy", choices=PADDING_POLICIES, default=PAD_EDGE)
+    _add_overrides(p, "min_visibility")
 
     p = sub.add_parser("split", help="seeded train/test split of manifest ids")
     p.add_argument("--manifest", required=True, help="image or tile manifest CSV")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ratio-train", type=int, default=4)
     p.add_argument("--ratio-test", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    _add_override_flags(p)
+    _add_overrides(p, "seed")
 
     p = sub.add_parser("decode", help="decode raw head tensors into detection files")
     p.add_argument("--tensors-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_override_flags(p)
+    _add_overrides(p, "input_size", "score_threshold", "objectness_threshold",
+                   "nms_iou_threshold", "class_names")
 
     p = sub.add_parser("eval", help="score detections against labels")
     p.add_argument("--detections-dir", required=True)
     p.add_argument("--labels-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--run-id", required=True)
-    p.add_argument("--group", default=None,
+    p.add_argument("--run-id", required=True, type=_one_line)
+    p.add_argument("--group", default=None, type=_one_line,
                    help="observation group label (default: input size)")
     p.add_argument("--observations", default=None,
                    help="observation CSV to append to (default: <out-dir>/observations.csv)")
-    _add_override_flags(p)
+    _add_overrides(p, "input_size", "eval_iou_threshold", "class_names")
 
     p = sub.add_parser("compare", help="normality-gated group comparison of a metric")
     p.add_argument("--observations", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_override_flags(p)
+    _add_overrides(p, "alpha", "normality_scope", "posthoc")
 
     p = sub.add_parser("report", help="human-readable roll-up of observations")
     p.add_argument("--observations", required=True)
     p.add_argument("--comparisons", nargs="*", default=[],
                    help="comparison JSON files to include")
     p.add_argument("--out", default=None, help="output text path (default: stdout)")
-    _add_override_flags(p)
+    _add_overrides(p)
 
     return parser
 
@@ -554,11 +567,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
-        overrides = {k: v for k, v in vars(args).items() if k in fields}
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code kept here for bad data
+        return 3 if exc.code == 2 else exc.code
+    try:
+        overrides = {k: v for k, v in vars(args).items() if k in _OVERRIDE_FLAGS}
         config = load_config(args.config, overrides)
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:

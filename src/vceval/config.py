@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError
 from .netops import DEFAULT_ANCHORS
+from .stats import NORMALITY_SCOPES, POSTHOC_MODES
 
 CONFIG_ENV_VAR = "VC_EVAL_CONFIG"
 
@@ -38,67 +41,74 @@ class HarnessConfig:
     posthoc: str = "always"
 
     def __post_init__(self):
+        for name, (what, ok) in _RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.input_size <= 0 or self.input_size % 32 != 0:
             raise ConfigError(f"input_size {self.input_size} is not a positive multiple of 32")
         if self.input_size > MAX_INPUT_SIZE:
             raise ConfigError(f"input_size {self.input_size} is above the limit of {MAX_INPUT_SIZE}")
-        for name in ("score_threshold", "objectness_threshold",
-                     "nms_iou_threshold", "eval_iou_threshold"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not 0.0 <= float(v) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v!r}")
-        if not self.class_names:
-            raise ConfigError("class_names must be non-empty")
-        if any(not n for n in self.class_names):
-            raise ConfigError("class names must be non-empty strings")
-        if len(self.anchors) != 9:
-            raise ConfigError(f"expected 9 anchor pairs, got {len(self.anchors)}")
-        anchors = tuple((float(w), float(h)) for w, h in self.anchors)
-        if any(w <= 0 or h <= 0 for w, h in anchors):
-            raise ConfigError("anchor sides must be positive")
-        if not 0.0 < self.min_visibility <= 1.0:
-            raise ConfigError(f"min_visibility must be in (0, 1], got {self.min_visibility}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.normality_scope not in ("pooled", "per-group"):
-            raise ConfigError(f"normality_scope must be pooled or per-group, got {self.normality_scope!r}")
-        if self.posthoc not in ("always", "on-significant"):
-            raise ConfigError(f"posthoc must be always or on-significant, got {self.posthoc!r}")
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchors", tuple((float(w), float(h)) for w, h in self.anchors))
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["class_names"] = list(self.class_names)
-        d["anchors"] = [list(a) for a in self.anchors]
-        return d
+        return dataclasses.asdict(self)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(HarnessConfig)}
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _in(interval: str) -> tuple:
+    """The rule of a real number in ``interval``: "[0, 1]", "(0, 1]" or "(0, 1)"."""
+    return f"a number in {interval}", lambda v: (
+        _is_real(v) and (0 <= v if interval[0] == "[" else 0 < v)
+        and (v <= 1 if interval[-1] == "]" else v < 1))
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
+        isinstance(n, str) and n and "\n" not in n and "\r" not in n for n in value)
+
+
+def _is_anchors(value) -> bool:
+    try:
+        sides = [side for w, h in value for side in (w, h)]
+    except (TypeError, ValueError):
+        return False
+    return len(sides) == 18 and all(_is_real(s) and 0 < s <= sys.float_info.max for s in sides)
+
+
+# The one type-and-range rule of each field, whether its value comes from a
+# config file or a flag: what the value must be, and the test of it.
+_RULES = {
+    "input_size": ("an integer", _is_int),
+    "score_threshold": _in("[0, 1]"),
+    "objectness_threshold": _in("[0, 1]"),
+    "nms_iou_threshold": _in("[0, 1]"),
+    "eval_iou_threshold": _in("(0, 1]"),
+    "class_names": ("a non-empty list of non-empty one-line strings", _is_names),
+    "anchors": ("9 [w, h] pairs of finite positive numbers", _is_anchors),
+    "min_visibility": _in("(0, 1]"),
+    "alpha": _in("(0, 1)"),
+    "seed": ("an integer", _is_int),
+    "normality_scope": (f"one of {', '.join(NORMALITY_SCOPES)}", NORMALITY_SCOPES.__contains__),
+    "posthoc": (f"one of {', '.join(POSTHOC_MODES)}", POSTHOC_MODES.__contains__),
+}
 
 
 def config_from_dict(data: dict) -> HarnessConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - set(_RULES)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if "class_names" in kwargs:
-        if not isinstance(kwargs["class_names"], (list, tuple)):
-            raise ConfigError("class_names must be a list")
-        kwargs["class_names"] = tuple(str(n) for n in kwargs["class_names"])
-    if "anchors" in kwargs:
-        try:
-            kwargs["anchors"] = tuple(
-                (float(pair[0]), float(pair[1])) for pair in kwargs["anchors"]
-            )
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("anchors must be a list of [w, h] pairs") from None
-    try:
-        return HarnessConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return HarnessConfig(**data)
 
 
 def load_config(
@@ -115,14 +125,11 @@ def load_config(
         try:
             with open(resolved, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {resolved}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {resolved}: {exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"config file {resolved} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    return config_from_dict(merged)
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    return config_from_dict({**data, **overrides})

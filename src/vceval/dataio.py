@@ -19,7 +19,7 @@ import csv
 import io
 import random
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NoReturn, Optional
@@ -329,6 +329,13 @@ def read_csv_table(content: str, what: str) -> tuple[int, list[str], Iterator[tu
     return header_line, header, body()
 
 
+def write_csv_table(rows: Iterable[Sequence[object]]) -> str:
+    """CSV text of ``rows``, each line ended by "\\n", as read_csv_table reads it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def read_image_manifest(content: str) -> list[AnnotatedImage]:
     """CSV of image_id,width,height (header required, ids unique); ground
     truths are attached separately from label files."""
@@ -350,9 +357,5 @@ def read_image_manifest(content: str) -> list[AnnotatedImage]:
 
 
 def write_image_manifest(images: Sequence[AnnotatedImage]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id", "width", "height"])
-    for img in images:
-        writer.writerow([img.image_id, img.width, img.height])
-    return buf.getvalue()
+    return write_csv_table(
+        [("image_id", "width", "height"), *((i.image_id, i.width, i.height) for i in images)])

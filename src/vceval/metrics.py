@@ -14,8 +14,6 @@ or iterated.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,6 +21,7 @@ import numpy as np
 
 from .boxes import Detection, DetectionArrays, GroundTruthBox, LabelArrays, RecordArrays
 from . import _kernels
+from .dataio import write_csv_table
 from .errors import EmptyClassSet, NoGroundTruth
 
 
@@ -399,25 +398,9 @@ def write_metric_csv(report: MetricReport, run_id: str, scale: int) -> str:
     map30 and f1max are report-level values repeated on every row; ap30 is
     blank for classes that have no ground truth.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["run_id", "scale", "class", "ap30", "map30", "f1max", "tp", "fp", "fn"]
-    )
-    for class_id in sorted(report.counts):
-        c = report.counts[class_id]
+    rows = [("run_id", "scale", "class", "ap30", "map30", "f1max", "tp", "fp", "fn")]
+    for class_id, c in sorted(report.counts.items()):
         ap = report.per_class_ap.get(class_id)
-        writer.writerow(
-            [
-                run_id,
-                scale,
-                class_id,
-                "" if ap is None else f"{ap:.6f}",
-                f"{report.mean_ap:.6f}",
-                f"{report.f1_max:.6f}",
-                c.tp,
-                c.fp,
-                c.fn,
-            ]
-        )
-    return buf.getvalue()
+        rows.append((run_id, scale, class_id, "" if ap is None else f"{ap:.6f}",
+                     f"{report.mean_ap:.6f}", f"{report.f1_max:.6f}", c.tp, c.fp, c.fn))
+    return write_csv_table(rows)

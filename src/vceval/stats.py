@@ -9,15 +9,13 @@ module.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 from . import distributions as dist
-from .dataio import read_csv_table
+from .dataio import read_csv_table, write_csv_table
 from .errors import (
     AllValuesEqual,
     EmptyDataset,
@@ -30,6 +28,9 @@ from .errors import (
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
+# where Shapiro-Wilk runs, and when the post-hoc table is built
+NORMALITY_SCOPES = ("pooled", "per-group")
+POSTHOC_MODES = ("always", "on-significant")
 # the battery squares and sums deviations; within this magnitude the sums
 # over 5000 observations stay finite
 MAX_OBSERVATION = 1e150
@@ -399,8 +400,8 @@ def dunn_test(
 def compare_pipeline(
     table: ObservationTable,
     alpha: float = 0.05,
-    normality_scope: Literal["pooled", "per-group"] = "pooled",
-    posthoc: Literal["always", "on-significant"] = "always",
+    normality_scope: str = "pooled",
+    posthoc: str = "always",
 ) -> ComparisonReport:
     """Normality-gated group comparison.
 
@@ -412,9 +413,9 @@ def compare_pipeline(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if normality_scope not in ("pooled", "per-group"):
+    if normality_scope not in NORMALITY_SCOPES:
         raise ValueError(f"unknown normality scope {normality_scope!r}")
-    if posthoc not in ("always", "on-significant"):
+    if posthoc not in POSTHOC_MODES:
         raise ValueError(f"unknown posthoc mode {posthoc!r}")
     if normality_scope == "pooled":
         normality = {"pooled": shapiro_wilk(table.pooled())}
@@ -493,27 +494,16 @@ def write_posthoc_csv(report: ComparisonReport) -> str:
     Parametric rows carry difference / stderr / confidence limits / p;
     nonparametric rows carry the rank-mean difference / stderr / Z / p.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if report.branch == PARAMETRIC:
-        writer.writerow(
-            ["level_a", "level_b", "difference", "std_err_diff",
-             "lower_cl", "upper_cl", "p_value", "significant"]
-        )
-        for c in report.posthoc:
-            writer.writerow(
-                [c.level_a, c.level_b, f"{c.difference:.6f}", f"{c.std_err_diff:.6f}",
-                 f"{c.lower_cl:.6f}", f"{c.upper_cl:.6f}", f"{c.p_value:.6f}",
-                 int(c.significant_at_alpha)]
-            )
+        rows = [("level_a", "level_b", "difference", "std_err_diff",
+                 "lower_cl", "upper_cl", "p_value", "significant")]
+        rows += [(c.level_a, c.level_b, f"{c.difference:.6f}", f"{c.std_err_diff:.6f}",
+                  f"{c.lower_cl:.6f}", f"{c.upper_cl:.6f}", f"{c.p_value:.6f}",
+                  int(c.significant_at_alpha)) for c in report.posthoc]
     else:
-        writer.writerow(
-            ["level_a", "level_b", "score_mean_difference", "std_err_diff",
-             "z", "p_value", "significant"]
-        )
-        for c in report.posthoc:
-            writer.writerow(
-                [c.level_a, c.level_b, f"{c.difference:.6f}", f"{c.std_err_diff:.6f}",
-                 f"{c.statistic:.6f}", f"{c.p_value:.6f}", int(c.significant_at_alpha)]
-            )
-    return buf.getvalue()
+        rows = [("level_a", "level_b", "score_mean_difference", "std_err_diff",
+                 "z", "p_value", "significant")]
+        rows += [(c.level_a, c.level_b, f"{c.difference:.6f}", f"{c.std_err_diff:.6f}",
+                  f"{c.statistic:.6f}", f"{c.p_value:.6f}", int(c.significant_at_alpha))
+                 for c in report.posthoc]
+    return write_csv_table(rows)

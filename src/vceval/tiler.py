@@ -8,15 +8,13 @@ entirely inside the source.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .boxes import BoundingBox, GroundTruthBox, LabelArrays
-from .dataio import read_csv_table
+from .dataio import read_csv_table, write_csv_table
 from .errors import MalformedLine, NotMultipleOf32, ShapeOverflow, TileLargerThanImage
 
 PAD_EDGE = "pad-edge"
@@ -186,14 +184,10 @@ def make_tile_id(image_id: str, row: int, col: int) -> str:
 
 def write_tile_manifest(entries: Sequence[tuple[str, TileRef, int]]) -> str:
     """CSV rows of (tile_id, ref, tile_size)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tile_id", "row", "col", "origin_x", "origin_y", "tile_size"])
-    for tile_id, ref, tile_size in entries:
-        writer.writerow(
-            [tile_id, ref.row, ref.col, ref.origin_x, ref.origin_y, tile_size]
-        )
-    return buf.getvalue()
+    return write_csv_table([
+        ("tile_id", "row", "col", "origin_x", "origin_y", "tile_size"),
+        *((tile_id, ref.row, ref.col, ref.origin_x, ref.origin_y, size)
+          for tile_id, ref, size in entries)])
 
 
 def read_tile_manifest(content: str) -> list[tuple[str, TileRef, int]]:

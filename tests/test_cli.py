@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -11,6 +12,7 @@ import os
 import stat
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -678,6 +680,52 @@ class TestEval:
         groups = {l.split(",")[2] for l in lines[1:]}
         assert groups == {"320", "416"}
 
+    def eval_argv(self, labels, dets, out, run_id, *flags):
+        return ["eval", "--detections-dir", str(dets), "--labels-dir", str(labels),
+                "--out-dir", str(out), "--run-id", run_id, *flags]
+
+    def test_repeated_run_id_is_refused(self, tmp_path, capsys):
+        labels, dets = self.setup_run(tmp_path)
+        obs_path = tmp_path / "obs.csv"
+        argv = self.eval_argv(labels, dets, tmp_path / "eval", "r1",
+                              "--observations", str(obs_path))
+        assert cli.main(argv) == 0
+        before = obs_path.read_text()
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {obs_path}: run id 'r1' already has a map30 row")
+        assert obs_path.read_text() == before
+        assert parse_observations(before) == {
+            "map30": {"416": [1.0]}, "f1max": {"416": [1.0]}, "ap30_volunteer-cotton": {"416": [1.0]}}
+
+    def test_run_ids_with_comma_and_quote_round_trip_through_compare(self, tmp_path, capsys):
+        labels, dets = self.setup_run(tmp_path)
+        obs_path = tmp_path / "obs.csv"
+        write_observations(obs_path, TestCompare.GROUPS)
+        run_ids = ["r,1", 'r"2', 'r, "3"']
+        for run_id in run_ids:
+            assert cli.main(self.eval_argv(labels, dets, tmp_path / "eval", run_id,
+                                           "--observations", str(obs_path))) == 0
+        rows = list(csv.reader(io.StringIO(obs_path.read_text())))
+        assert [row[0] for row in rows if row[1] == "map30"][-3:] == run_ids
+        assert cli.main(self.eval_argv(labels, dets, tmp_path / "eval", "r,1",
+                                       "--observations", str(obs_path))) == 2
+        assert cli.main(["compare", "--observations", str(obs_path), "--metric", "map30",
+                         "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert cli.main(["report", "--observations", str(obs_path)]) == 0
+        assert "group 416: n=8 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--run-id", "--group"])
+    @pytest.mark.parametrize("value", ["r\n1", "r\r1", "\n"])
+    def test_line_break_in_an_observation_field_is_usage_error(self, tmp_path, capsys, flag,
+                                                                value):
+        labels, dets = self.setup_run(tmp_path)
+        argv = self.eval_argv(labels, dets, tmp_path / "eval", "r1", flag, value)
+        assert cli.main(argv) == 3
+        assert f"argument {flag}: must not hold a line break" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_unpaired_stems_rejected(self, tmp_path):
         labels, dets = self.setup_run(tmp_path)
         labels.joinpath("t2.txt").write_text(label_line(0, 0.5, 0.5, 0.1, 0.1))
@@ -806,7 +854,7 @@ class TestEval:
 def _append_rows(path, worker, barrier):
     barrier.wait()
     for k in range(10):
-        cli._append_observations(path, [(f"w{worker}", "map30", "416", k / 10)])
+        cli._append_observations(path, [(f"w{worker}k{k}", "map30", "416", k / 10)])
 
 
 class TestWrites:
@@ -826,7 +874,7 @@ class TestWrites:
         assert lines[0] == cli.OBSERVATION_HEADER
         assert lines.count(cli.OBSERVATION_HEADER) == 1
         assert sorted(lines[1:]) == sorted(
-            f"w{w},map30,416,{k / 10:.6f}" for w in range(4) for k in range(10)
+            f"w{w}k{k},map30,416,{k / 10:.6f}" for w in range(4) for k in range(10)
         )
         assert os.listdir(tmp_path) == ["observations.csv"]
 
@@ -1268,14 +1316,15 @@ class TestConfigPlumbing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.1}))
         monkeypatch.setenv("VC_EVAL_CONFIG", str(cfg))
-        make_manifest(tmp_path / "images.csv", [(f"i{k}", 640, 640) for k in range(5)])
-        out = tmp_path / "split"
+        write_observations(tmp_path / "obs.csv", TestCompare.GROUPS)
+        out = tmp_path / "cmp"
         cli.main(
-            ["split", "--manifest", str(tmp_path / "images.csv"),
+            ["compare", "--observations", str(tmp_path / "obs.csv"), "--metric", "map30",
              "--out-dir", str(out), "--alpha", "0.2"]
         )
-        used = json.loads((out / "config_used.json").read_text())
-        assert used["alpha"] == 0.2
+        payload = json.loads((out / "comparison_map30.json").read_text())
+        assert payload["config"]["alpha"] == 0.2
+        assert payload["alpha"] == 0.2
 
     def test_unknown_config_key_is_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1305,16 +1354,33 @@ class TestConfigPlumbing:
         assert rc == 3 and f"{size} is above the limit of 65536" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
-    def test_every_override_flag_names_a_config_field(self):
-        # main passes on the parsed arguments whose names are config fields,
-        # so an override flag with any other dest would be ignored
-        parser = cli.build_parser()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        dests = [{a.dest for a in sub._actions if a.option_strings}
-                 for sub in commands.choices.values()]
-        shared = set.intersection(*dests) - {"help", "config"}
-        assert len(shared) == 10
-        assert shared <= {f.name for f in dataclasses.fields(HarnessConfig)}
+    def test_override_flags_are_the_fields_each_command_reads(self, tmp_path, monkeypatch):
+        # each command runs on valid inputs with a config that records the
+        # fields its handler reads; echoing the config reads nothing
+        class Recording:
+            def __init__(self, config):
+                self._config = config
+
+            def __getattr__(self, name):
+                read[command].add(name)
+                return getattr(self._config, name)
+
+            def to_dict(self):
+                return self._config.to_dict()
+
+        load_config = cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda *a: Recording(load_config(*a)))
+        read = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command, argv in _tiny_study(tmp_path).items():
+                read[command] = set()
+                assert cli.main(argv) == 0, command
+        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
+        dests = {command: {a.dest for a in sub._actions} & fields
+                 for command, sub in _subparsers().items()}
+        # anchors are set only by a config file
+        assert dests == {command: fields - {"anchors"} for command, fields in read.items()}
+        assert sum(map(len, dests.values())) == 14
 
     def test_seed_flag_overrides_config(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1328,13 +1394,12 @@ class TestConfigPlumbing:
         assert "(seed 7)" in capsys.readouterr().out
 
     def test_class_names_split_on_commas(self, tmp_path):
-        make_manifest(tmp_path / "images.csv", [("i0", 640, 640)])
-        out = tmp_path / "split"
-        assert cli.main(["split", "--manifest", str(tmp_path / "images.csv"), "--out-dir", str(out),
-                         "--class-names", " weed, ,crop ,"]) == 0
+        argv = _tiny_study(tmp_path)["eval"]
+        out = tmp_path / "out" / "eval"
+        assert cli.main([*argv, "--class-names", " weed, ,crop ,"]) == 0
         assert json.loads((out / "config_used.json").read_text())["class_names"] == ["weed", "crop"]
-        assert cli.main(["split", "--manifest", str(tmp_path / "images.csv"), "--out-dir", str(out),
-                         "--class-names", ","]) == 3
+        assert "ap30_weed" in (out / "observations.csv").read_text()
+        assert cli.main([*argv, "--class-names", ","]) == 3
 
     def test_class_names_override(self, tmp_path):
         labels = tmp_path / "labels"
@@ -1356,3 +1421,142 @@ class TestConfigPlumbing:
         )
         obs = (out / "observations.csv").read_text()
         assert "ap30_weed" in obs
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _tiny_study(root):
+    """The argv of each command over small valid inputs it writes under
+    ``root``; the commands write under ``root``/out."""
+    root = str(root)
+    make_manifest(Path(root, "images.csv"), [(f"i{k}", 832, 416) for k in range(5)])
+    Path(root, "labels").mkdir()
+    Path(root, "labels", "i0.txt").write_text("0 0.3 0.5 0.05 0.1\n")
+    write_scale_tensors(Path(root, "tensors"), "t1", hot=(0, 1, 2, 4, 0))
+    Path(root, "dets").mkdir()
+    Path(root, "dets", "t1.det.txt").write_text(det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6))
+    Path(root, "scored").mkdir()
+    Path(root, "scored", "t1.txt").write_text(label_line(0, 0.25, 0.25, 0.1, 0.1))
+    write_observations(Path(root, "obs.csv"), TestCompare.GROUPS)
+    return _tiny_argv(root, os.path.join(root, "out"))
+
+
+def _tiny_argv(root, out):
+    return {
+        "tile": ["tile", "--manifest", f"{root}/images.csv", "--labels-dir", f"{root}/labels",
+                 "--out-dir", f"{out}/tiles"],
+        "split": ["split", "--manifest", f"{root}/images.csv", "--out-dir", f"{out}/split"],
+        "decode": ["decode", "--tensors-dir", f"{root}/tensors", "--out-dir", f"{out}/dets"],
+        "eval": ["eval", "--detections-dir", f"{root}/dets", "--labels-dir", f"{root}/scored",
+                 "--out-dir", f"{out}/eval", "--run-id", "r1"],
+        "compare": ["compare", "--observations", f"{root}/obs.csv", "--metric", "map30",
+                    "--out-dir", f"{out}/cmp"],
+        "report": ["report", "--observations", f"{root}/obs.csv", "--out", f"{out}/report.txt"],
+    }
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command, change", [
+        ("decode", ["--alpha", "0.1"]),
+        ("eval", ["--run-id", None]),
+        ("eval", ["--input-size", "abc"]),
+        ("tile", ["--input-size", "416"]),
+        ("split", ["--class-names", "a,b"]),
+        ("report", ["--alpha", "0.1"]),
+        ("compare", ["--normality-scope", "blended"]),
+    ])
+    def test_usage_error_is_exit_3(self, tmp_path, capsys, command, change):
+        argv = _tiny_study(tmp_path)[command]
+        flag, value = change
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        if value is not None:
+            argv += [flag, value]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vceval") and "error: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["tile", "--help"], ["--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(("usage: vceval", "vceval "))
+
+
+def _json_config(work, data):
+    path = os.path.join(work, "cfg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
+# JSON values that no key accepts
+_BAD_CONFIG_VALUES = [416.0, True, [1], "x", float("nan"), float("inf"), float("-inf"), None, {}]
+# the element of each list-valued key that a test may replace, and the
+# replacements that leave the config valid
+_ELEMENT_KEYS = {"class_names": (0,), "anchors": (4, 1)}
+_VALID_ELEMENTS = [("class_names", "x"), ("anchors", 416.0)]
+
+
+def _with_element(data, key, value):
+    """``data`` with ``value`` in place of the element of ``key`` at its path."""
+    data = json.loads(json.dumps(data))
+    *parents, last = _ELEMENT_KEYS[key]
+    node = data[key]
+    for i in parents:
+        node = node[i]
+    node[last] = value
+    return data
+
+
+class TestConfigValues:
+    """Every config value is checked once, in HarnessConfig, whichever
+    command reads it: a bad one exits 3 naming its key."""
+
+    @pytest.mark.parametrize("command", ["tile", "split", "decode", "eval", "compare", "report"])
+    @pytest.mark.parametrize("key, value", [
+        ("input_size", 416.0),
+        ("seed", [1]),
+        ("anchors", float("nan")),
+        ("anchors", float("inf")),
+        ("score_threshold", True),
+    ])
+    def test_value_of_the_wrong_type_or_range_is_exit_3(self, tmp_path, capsys, command, key,
+                                                         value):
+        argv = _tiny_study(tmp_path)[command]
+        data = {key: value}
+        if key == "anchors":
+            data = _with_element(HarnessConfig().to_dict(), key, value)
+        assert cli.main([*argv, "--config", _json_config(str(tmp_path), data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("study")
+        _tiny_study(root)
+        return str(root)
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["tile", "split", "decode", "eval", "compare"]),
+           key=st.sampled_from(sorted(f.name for f in dataclasses.fields(HarnessConfig))),
+           value=st.sampled_from(_BAD_CONFIG_VALUES), element=st.booleans())
+    def test_exit_code_is_0_2_or_3_and_no_traceback(self, inputs, command, key, value, element):
+        data = {key: value}
+        element = element and key in _ELEMENT_KEYS
+        if element:
+            data = _with_element(HarnessConfig().to_dict(), key, value)
+        with tempfile.TemporaryDirectory() as work:
+            argv = _tiny_argv(inputs, work)[command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main([*argv, "--config", _json_config(work, data)])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if not (element and (key, value) in _VALID_ELEMENTS):
+            assert rc == 3 and err.getvalue().startswith(f"error: {key} must be ")

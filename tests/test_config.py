@@ -69,6 +69,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             HarnessConfig(anchors=bad)
 
+    def test_eval_iou_threshold_excludes_zero(self):
+        # matching needs an IoU above zero; 0 once ended eval in a traceback
+        with pytest.raises(ConfigError, match=r"eval_iou_threshold must be a number in \(0, 1\]"):
+            HarnessConfig(eval_iou_threshold=0.0)
+        assert HarnessConfig(eval_iou_threshold=1.0).eval_iou_threshold == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_size", 416.0), ("input_size", True), ("seed", [1]), ("seed", "7"),
+        ("score_threshold", True), ("alpha", float("nan")), ("min_visibility", "0.5"),
+        ("class_names", "weed"), ("class_names", ("weed", 1)), ("class_names", ("a\nb",)),
+        ("anchors", ((float("inf"), 13.0),) + DEFAULT_ANCHORS[1:]),
+        ("anchors", ((float("nan"), 13.0),) + DEFAULT_ANCHORS[1:]),
+        ("anchors", ((True, 13.0),) + DEFAULT_ANCHORS[1:]), ("anchors", None),
+        ("normality_scope", ["pooled"]), ("posthoc", None),
+    ])
+    def test_wrong_type_is_refused_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            HarnessConfig(**{field: value})
+
     def test_min_visibility_and_alpha(self):
         with pytest.raises(ConfigError):
             HarnessConfig(min_visibility=0.0)
@@ -154,6 +173,16 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_json_nested_too_deep(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_config(str(path))
+
+    def test_config_path_that_is_a_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(str(tmp_path))
 
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "cfg.json"
