@@ -235,43 +235,95 @@ def _logit_floor(p):
     return math.log(p) - math.log1p(-p) - 1e-6
 
 
-def decode_grid(raw, anchors, stride, score_threshold, objectness_threshold):
-    """Decode one detector head into scored corner-format boxes.
+def logit_gate(p, dtype):
+    """The smallest value of ``dtype`` at or above _logit_floor(p): a logit
+    of that dtype passes the gate, ``logit >= logit_gate(p, dtype)``,
+    exactly when it is at least the floor.
 
-    raw: (A, 5+K, H, W) float64 with per-anchor channels ordered
-    (tx, ty, tw, th, objectness, class logits...). anchors: (A, 2)
-    pixel (width, height). Candidates are scanned in (anchor, row, col)
-    order; kept when sigmoid(objectness) >= objectness_threshold and
+    Formed on purpose, as the comparison of a float32 array with a Python
+    float would round the float to float32 (NEP 50), and a float32 logit
+    just below the floor could then pass.
+    """
+    floor = _logit_floor(p)
+    gate = dtype.type(floor)
+    if float(gate) < floor:  # float(): a float32 gate would round the floor
+        gate = np.nextafter(gate, dtype.type(math.inf))
+    return gate
+
+
+def gate_cells(raw, gate):
+    """The cells of one head whose objectness logit is at least ``gate``.
+
+    raw: (A, 5+K, H, W) float array, channels ordered (tx, ty, tw, th,
+    objectness, class logits...); gate: a threshold of raw's dtype (see
+    logit_gate). Returns the gated cells' channels widened to float64,
+    (M, 5+K), and their anchor, row and column indices, in (anchor, row,
+    col) scan order.
+    """
+    gated = raw[:, 4] >= gate
+    flat = np.flatnonzero(gated)                    # C order == (a, y, x) scan
+    ai, yi, xi = np.unravel_index(flat, gated.shape)
+    return raw[ai, :, yi, xi].astype(np.float64), ai, yi, xi
+
+
+def decode_cells(cells, anchor_wh, stride, xi, yi, score_threshold, objectness_threshold):
+    """Decode gated cells, of one head or of many, into scored corner-format
+    boxes.
+
+    cells: (M, 5+K) float64 as gate_cells gives them; anchor_wh: (M, 2)
+    pixel (width, height) of each cell's anchor; stride: (M,) pixel
+    stride of each cell's grid; xi, yi: each cell's column and row. A cell
+    is kept when sigmoid(objectness) >= objectness_threshold and
     objectness * best class probability >= score_threshold.
 
-    Returns (boxes (M, 4) as x_min/y_min/width/height, scores (M,),
-    class_ids (M,)).
+    Returns (boxes (N, 4) as x_min/y_min/width/height, scores (N,),
+    class_ids (N,), kept (N,)), kept being the positions of the kept cells
+    in ``cells``, in order.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
-
-    # score <= objectness, so a cell whose objectness is below either
-    # threshold fails; gate on the raw logit before any sigmoid
-    floor = _logit_floor(max(score_threshold, objectness_threshold))
-    gated = raw[:, 4] >= floor
-    flat = np.flatnonzero(gated)                    # C order == (a, y, x) scan
-    if flat.size == 0:
-        return np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
-    ai, yi, xi = np.unravel_index(flat, gated.shape)
-    cells = raw[ai, :, yi, xi]                      # (M, 5+K)
+    if len(cells) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros((0, 4)), np.zeros(0), empty, empty
     prob = sigmoid(cells)
     best_cls = np.argmax(prob[:, 5:], axis=1)       # first max wins
     score = prob[:, 4] * prob[np.arange(len(prob)), 5 + best_cls]
     kept = np.flatnonzero((prob[:, 4] >= objectness_threshold) & (score >= score_threshold))
-    ai, yi, xi, cells, prob = ai[kept], yi[kept], xi[kept], cells[kept], prob[kept]
+    cells, prob, anchor_wh, stride = cells[kept], prob[kept], anchor_wh[kept], stride[kept]
 
     boxes = np.empty((kept.size, 4))
     # a large size logit overflows to an infinite side; the caller rejects it
     with np.errstate(over="ignore"):
-        bw = anchors[ai, 0] * np.exp(cells[:, 2])
-        bh = anchors[ai, 1] * np.exp(cells[:, 3])
-    boxes[:, 0] = (xi + prob[:, 0]) * stride - bw / 2.0
-    boxes[:, 1] = (yi + prob[:, 1]) * stride - bh / 2.0
+        bw = anchor_wh[:, 0] * np.exp(cells[:, 2])
+        bh = anchor_wh[:, 1] * np.exp(cells[:, 3])
+    boxes[:, 0] = (xi[kept] + prob[:, 0]) * stride - bw / 2.0
+    boxes[:, 1] = (yi[kept] + prob[:, 1]) * stride - bh / 2.0
     boxes[:, 2] = bw
     boxes[:, 3] = bh
-    return boxes, score[kept], best_cls[kept].astype(np.int64, copy=False)
+    return boxes, score[kept], best_cls[kept].astype(np.int64, copy=False), kept
+
+
+def decode_grid(raw, anchors, stride, score_threshold, objectness_threshold):
+    """Decode one detector head into scored corner-format boxes: the gate
+    of gate_cells, then decode_cells.
+
+    raw: (A, 5+K, H, W) with per-anchor channels ordered (tx, ty, tw, th,
+    objectness, class logits...), float64 or float32, which is gated as
+    it is and widened only in the gated cells. anchors: (A, 2) pixel
+    (width, height). Candidates are scanned in (anchor, row, col) order;
+    kept when sigmoid(objectness) >= objectness_threshold and objectness *
+    best class probability >= score_threshold.
+
+    Returns (boxes (M, 4) as x_min/y_min/width/height, scores (M,),
+    class_ids (M,)).
+    """
+    raw = np.asarray(raw)
+    if raw.dtype != np.float32:
+        raw = raw.astype(np.float64, copy=False)
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
+    # score <= objectness, so a cell whose objectness is below either
+    # threshold fails; gate on the raw logit before any sigmoid
+    gate = logit_gate(max(score_threshold, objectness_threshold), raw.dtype)
+    cells, ai, yi, xi = gate_cells(raw, gate)
+    strides = np.full(ai.shape, stride, dtype=np.float64)
+    boxes, scores, class_ids, _ = decode_cells(
+        cells, anchors[ai], strides, xi, yi, score_threshold, objectness_threshold)
+    return boxes, scores, class_ids

@@ -10,6 +10,7 @@ or missing input data, 3 bad configuration or usage.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import fcntl
 import json
@@ -21,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from . import stats as statsmod
-from .boxes import DetectionArrays, LabelArrays, nms
+from .boxes import DetectionArrays, LabelArrays, detection_rules, first_fault, nms
 from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
@@ -31,15 +32,16 @@ from .dataio import (
     parse_label_file,
     read_csv_table,
     read_image_manifest,
-    read_tensor,
+    read_tensor,  # noqa: F401 -- unused, kept importable from cli for perfbench/tests
+    read_tensor_view,
     split_dataset,
     write_csv_table,
     write_detection_file,
     write_label_file,
 )
-from .errors import ConfigError, ShapeMismatch, VCEvalError
+from .errors import ConfigError, DegenerateBox, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
-from .netops import AnchorBox, decode_head, grid_shape
+from .netops import ANCHORS_PER_SCALE, grid_shape
 from .tiler import (
     PAD_EDGE,
     PADDING_POLICIES,
@@ -199,83 +201,150 @@ def _decode_stems(tensors_dir: str) -> list[str]:
 # to spread NMS's fixed set-up over many sparse tiles. A tile that would take
 # a batch past it starts a new batch, since NMS time grows faster than its
 # input: 40 dense tiles of about 1,100 candidates took 18 % longer in calls of
-# two tiles than in one call per tile.
+# two tiles than in one call per tile. Decode gathers gated cells the same
+# way: it decodes at once the cells of consecutive tiles until they reach it.
 _NMS_BATCH = 1 << 11
 
+# The pixel stride of each scale's grid, coarsest first.
+_STRIDES = (32, 16, 8)
 
-def _write_detections(stems: list[str], heads: list[DetectionArrays], config: HarnessConfig,
-                      out_dir: str) -> None:
-    """Suppress within each tile by one NMS over a batch of tiles, and write
-    each tile's ``.det.txt``. ``heads`` holds the decoded heads of ``stems``,
-    one per scale, in stem order.
 
-    Each tile's class ids are offset by its slot times the class count, so
-    no box meets a box of another tile; the kept rows of one tile come out
-    in that tile's own scan order, as an NMS of the tile alone gives them.
+class _NmsBatches:
+    """Decoded tiles gathered for one NMS at a time: a tile that would take
+    a batch past _NMS_BATCH candidates starts a new batch."""
+
+    def __init__(self, config: HarnessConfig, out_dir: str):
+        self.config, self.out_dir = config, out_dir
+        self.stems, self.parts, self.rows = [], [], 0
+
+    def add(self, stem: str, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> None:
+        """Add one tile's decoded columns."""
+        if self.stems and self.rows + len(score) > _NMS_BATCH:
+            self.flush()
+        self.stems.append(stem)
+        self.parts.append((score, class_id, xywh))
+        self.rows += len(score)
+
+    def flush(self) -> None:
+        """Suppress within each tile of the batch by one NMS over all of
+        them, and write each tile's ``.det.txt``.
+
+        Each tile's class ids are offset by its slot times the class count,
+        so no box meets a box of another tile; the kept rows of one tile
+        come out in that tile's own scan order, as an NMS of the tile alone
+        gives them.
+        """
+        if not self.stems:
+            return
+        k = len(self.config.class_names)
+        score, class_id, xywh = map(np.concatenate, zip(*self.parts))
+        slot = np.repeat(np.arange(len(self.parts)), [len(p[0]) for p in self.parts])
+        kept = nms(DetectionArrays(score, class_id + slot * k, xywh), self.config.nms_iou_threshold)
+        tile = kept.class_id // k
+        rows = np.argsort(tile, kind="stable")
+        ends = np.cumsum(np.bincount(tile, minlength=len(self.stems)))
+        for stem, part in zip(self.stems, np.split(rows, ends[:-1])):
+            local = DetectionArrays(kept.score[part], kept.class_id[part] % k, kept.xywh[part])
+            _write_text(os.path.join(self.out_dir, stem + ".det.txt"), write_detection_file(local))
+        self.stems, self.parts, self.rows = [], [], 0
+
+
+def _gate_head(path: str, side: int, config: HarnessConfig, gate: np.float32) -> tuple:
+    """Read one scale's ``.vct`` file, check it against the grid side and
+    the class count, and gate its float32 objectness logits: the gated
+    cells, widened to float64, with their anchor, row and column (see
+    _kernels.gate_cells)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _naming(path):
+        values = read_tensor_view(data)
+        c, h, w = values.shape
+        if h != side or w != side:
+            raise ShapeMismatch(
+                f"grid {h}x{w}, expected {side}x{side} for input size {config.input_size}"
+            )
+        num_classes = c // ANCHORS_PER_SCALE - 5
+        if num_classes != len(config.class_names):
+            raise ShapeMismatch(
+                f"{num_classes} classes in tensor, config names {len(config.class_names)}"
+            )
+    return _kernels.gate_cells(values.reshape(ANCHORS_PER_SCALE, -1, h, w), gate)
+
+
+def _decode_gated(waiting: list, config: HarnessConfig, batches: _NmsBatches) -> None:
+    """Decode the gated cells of the tiles in ``waiting`` at once, and add
+    each tile's detections to ``batches``, in order.
+
+    ``waiting`` holds (stem, paths, gated heads) per tile, one head per
+    scale; the last tile may hold fewer heads, when reading its next one
+    failed, and is decoded but not added. One sigmoid, one box computation
+    and one check of Detection's rules cover every cell, each cell with its
+    own scale's anchors and stride. The first decoded row that breaks a
+    rule raises DegenerateBox, naming its ``.vct`` file and its row within
+    that head, once the tiles before its own are added: the error and the
+    files written are those of decoding one head at a time.
     """
-    k = len(config.class_names)
-    dets = DetectionArrays.concat(heads)
-    slot = np.repeat(np.arange(len(heads)) // len(SCALE_SUFFIXES), [len(h) for h in heads])
-    kept = nms(DetectionArrays(dets.score, dets.class_id + slot * k, dets.xywh),
-               config.nms_iou_threshold)
-    tile = kept.class_id // k
-    rows = np.argsort(tile, kind="stable")
-    ends = np.cumsum(np.bincount(tile, minlength=len(stems)))
-    for stem, part in zip(stems, np.split(rows, ends[:-1])):
-        local = DetectionArrays(kept.score[part], kept.class_id[part] % k, kept.xywh[part])
-        _write_text(os.path.join(out_dir, stem + ".det.txt"), write_detection_file(local))
+    heads = [head for _, _, gated in waiting for head in gated]
+    if not heads:
+        return
+    sizes = [len(cells) for cells, _, _, _ in heads]
+    cells, ai, yi, xi = map(np.concatenate, zip(*heads))
+    # every tile's heads run from scale 0, the coarsest grid, which takes
+    # the largest anchor triple
+    scale = np.repeat(np.arange(len(heads)) % len(SCALE_SUFFIXES), sizes)
+    anchor_wh = np.array(config.anchors)[ANCHORS_PER_SCALE * (2 - scale) + ai]
+    stride = np.array(_STRIDES, dtype=np.float64)[scale]
+    boxes, score, class_id, kept = _kernels.decode_cells(
+        cells, anchor_wh, stride, xi, yi, config.score_threshold, config.objectness_threshold)
+    score = np.minimum(score, 1.0)
+    # kept is ascending, so each head's decoded rows start where its cells do
+    starts = [0, *np.searchsorted(kept, np.cumsum(sizes)).tolist()]
+    fault = first_fault(detection_rules(score, class_id, boxes))
+    bad = bisect.bisect_right(starts, fault[0]) - 1 if fault else len(heads)
+    h = 0
+    for stem, paths, gated in waiting:
+        if bad < h + len(gated):
+            row, _, reason = fault
+            with _naming(paths[bad - h]):
+                raise DegenerateBox(f"decoded detection {row - starts[bad]}: {reason}")
+        if len(gated) == len(SCALE_SUFFIXES):
+            rows = slice(starts[h], starts[h + len(gated)])
+            batches.add(stem, score[rows], class_id[rows], boxes[rows])
+        h += len(gated)
 
 
 def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
     grids = grid_shape(config.input_size)
-    strides = (32, 16, 8)
-    # coarsest grid (stride 32) takes the largest anchor triple
-    anchor_sets = [[AnchorBox(w, h) for w, h in config.anchors[i:i + 3]] for i in (6, 3, 0)]
     stems = _decode_stems(args.tensors_dir)
     if not stems:
         raise VCEvalError(f"no .s0/.s1/.s2 .vct tensor files in {args.tensors_dir}")
     os.makedirs(args.out_dir, exist_ok=True)
-    batch, heads, pending = [], [], 0
+    # score <= objectness, so a cell whose objectness is below either
+    # threshold fails; gate on the float32 logit before any widening
+    gate = _kernels.logit_gate(max(config.score_threshold, config.objectness_threshold),
+                               np.dtype(np.float32))
+    batches = _NmsBatches(config, args.out_dir)
+    waiting, gated_cells = [], 0
     for stem in stems:
-        parts = []
-        for scale_idx, suffix in enumerate(SCALE_SUFFIXES):
-            path = os.path.join(args.tensors_dir, stem + suffix)
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except FileNotFoundError:
-                raise VCEvalError(f"{stem}: missing scale file {stem + suffix}") from None
-            with _naming(path):
-                tensor = read_tensor(data)
-                side = grids[scale_idx]
-                if tensor.height != side or tensor.width != side:
-                    raise ShapeMismatch(
-                        f"grid {tensor.height}x{tensor.width}, expected "
-                        f"{side}x{side} for input size {config.input_size}"
-                    )
-                if tensor.num_classes != len(config.class_names):
-                    raise ShapeMismatch(
-                        f"{tensor.num_classes} classes in tensor, "
-                        f"config names {len(config.class_names)}"
-                    )
-                parts.append(
-                    decode_head(
-                        tensor,
-                        anchor_sets[scale_idx],
-                        strides[scale_idx],
-                        config.score_threshold,
-                        objectness_threshold=config.objectness_threshold,
-                    )
-                )
-        count = sum(map(len, parts))
-        if batch and pending + count > _NMS_BATCH:
-            _write_detections(batch, heads, config, args.out_dir)
-            batch, heads, pending = [], [], 0
-        batch.append(stem)
-        heads.extend(parts)
-        pending += count
-    if batch:
-        _write_detections(batch, heads, config, args.out_dir)
+        paths = [os.path.join(args.tensors_dir, stem + suffix) for suffix in SCALE_SUFFIXES]
+        gated = []
+        waiting.append((stem, paths, gated))
+        try:
+            for path, suffix, side in zip(paths, SCALE_SUFFIXES, grids):
+                try:
+                    gated.append(_gate_head(path, side, config, gate))
+                except FileNotFoundError:
+                    raise VCEvalError(f"{stem}: missing scale file {stem + suffix}") from None
+        except (VCEvalError, OSError):
+            # a bad box in a head read before this one is the first error
+            _decode_gated(waiting, config, batches)
+            raise
+        gated_cells += sum(len(cells) for cells, _, _, _ in gated)
+        if gated_cells >= _NMS_BATCH:
+            _decode_gated(waiting, config, batches)
+            waiting, gated_cells = [], 0
+    _decode_gated(waiting, config, batches)
+    batches.flush()
     _echo_config(args.out_dir, config)
     print(f"decoded {len(stems)} image(s) at input size {config.input_size}")
     return 0
@@ -318,9 +387,10 @@ def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> 
                 _, header, old_rows = read_csv_table(existing, "observation file")
                 if existing and header != OBSERVATION_HEADER.split(","):
                     raise VCEvalError("does not look like an observation file")
-                taken = {(row[0], row[1]) for _, row in old_rows}
+                # stripped, as stats.parse_observations reads them
+                taken = {(row[0].strip(), row[1].strip()) for _, row in old_rows}
                 for run_id, metric, _, _ in rows:
-                    if (run_id, metric) in taken:
+                    if (run_id.strip(), metric) in taken:
                         raise VCEvalError(f"run id {run_id!r} already has a {metric} row")
             lines = existing if existing else OBSERVATION_HEADER + "\n"
             if not lines.endswith("\n"):  # a last row without its newline

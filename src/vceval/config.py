@@ -117,10 +117,13 @@ def load_config(
     """Resolve the effective configuration.
 
     Precedence: built-in defaults < JSON file (explicit path or the
-    VC_EVAL_CONFIG environment variable) < per-flag overrides.
+    VC_EVAL_CONFIG environment variable) < per-flag overrides. An explicit
+    empty path is refused; an empty VC_EVAL_CONFIG counts as unset.
     """
+    if path == "":
+        raise ConfigError("config path is empty")
     data: dict = {}
-    resolved = path or os.environ.get(CONFIG_ENV_VAR)
+    resolved = path if path is not None else os.environ.get(CONFIG_ENV_VAR)
     if resolved:
         try:
             with open(resolved, "r", encoding="utf-8") as fh:

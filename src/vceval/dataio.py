@@ -46,7 +46,7 @@ from .errors import (
     TruncatedPayload,
     UnreadableCSV,
 )
-from .netops import RawHeadTensor
+from .netops import NON_FINITE_HEAD, RawHeadTensor, check_head_shape
 
 TENSOR_MAGIC = b"VCT1"
 _TENSOR_HEADER = struct.Struct("<4sIII")
@@ -251,7 +251,15 @@ def write_tensor(tensor: RawHeadTensor) -> bytes:
     return header + payload
 
 
-def read_tensor(data: bytes) -> RawHeadTensor:
+def read_tensor_view(data: bytes) -> np.ndarray:
+    """The payload of a raw-tensor file, checked, as a float32 (C, H, W)
+    view of ``data``; bytes past the declared payload are ignored.
+
+    The checks, in order: the magic, the header's length, the declared
+    element count against MAX_TENSOR_ELEMENTS, the payload's length, the
+    head shape of RawHeadTensor (ShapeMismatch), then every value finite
+    (NonFinitePayload).
+    """
     if len(data) < _TENSOR_HEADER.size:
         if data[: min(len(data), 4)] != TENSOR_MAGIC[: min(len(data), 4)]:
             raise BadMagic(f"expected magic {TENSOR_MAGIC!r}")
@@ -270,13 +278,17 @@ def read_tensor(data: bytes) -> RawHeadTensor:
         raise TruncatedPayload(
             f"payload carries {carried} bytes, header declares {expected}"
         )
-    # a view of the payload in ``data``; astype makes the one copy
+    check_head_shape((c, h, w))
     values = np.frombuffer(data, dtype="<f4", count=count, offset=_TENSOR_HEADER.size)
-    values = values.reshape(c, h, w)
-    try:
-        return RawHeadTensor(values=values.astype(np.float64))
-    except ValueError as exc:  # the only ValueError: non-finite values
-        raise NonFinitePayload(str(exc)) from None
+    if not np.isfinite(values).all():
+        raise NonFinitePayload(NON_FINITE_HEAD)
+    return values.reshape(c, h, w)
+
+
+def read_tensor(data: bytes) -> RawHeadTensor:
+    """The head tensor of a raw-tensor file, widened to float64; see
+    read_tensor_view for the checks."""
+    return RawHeadTensor(values=read_tensor_view(data).astype(np.float64))
 
 
 def split_dataset(

@@ -146,6 +146,23 @@ def grid_shape(input_size: int) -> tuple[int, int, int]:
     return (input_size // 32, input_size // 16, input_size // 8)
 
 
+NON_FINITE_HEAD = "head tensor values must be finite"
+
+
+def check_head_shape(shape: tuple[int, ...]) -> None:
+    """Raise ShapeMismatch unless ``shape`` is (C, H, W) with H, W >= 1 and
+    C = 3·(5+K) for an integer class count K >= 1."""
+    if len(shape) != 3:
+        raise ShapeMismatch(f"expected a (C, H, W) array, got {len(shape)}-D")
+    c, h, w = shape
+    if h < 1 or w < 1:
+        raise ShapeMismatch("spatial dimensions must be positive")
+    if c % ANCHORS_PER_SCALE != 0 or c // ANCHORS_PER_SCALE < 6:
+        raise ShapeMismatch(
+            f"channel count {c} is not 3*(5+K) for any class count K >= 1"
+        )
+
+
 @dataclass(frozen=True)
 class RawHeadTensor:
     """One scale's raw head output, channel-major (C, H, W).
@@ -158,17 +175,9 @@ class RawHeadTensor:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeMismatch(f"expected a (C, H, W) array, got {arr.ndim}-D")
-        c, h, w = arr.shape
-        if h < 1 or w < 1:
-            raise ShapeMismatch("spatial dimensions must be positive")
-        if c % ANCHORS_PER_SCALE != 0 or c // ANCHORS_PER_SCALE < 6:
-            raise ShapeMismatch(
-                f"channel count {c} is not 3*(5+K) for any class count K >= 1"
-            )
+        check_head_shape(arr.shape)
         if not np.isfinite(arr).all():
-            raise ValueError("head tensor values must be finite")
+            raise ValueError(NON_FINITE_HEAD)
         object.__setattr__(self, "values", arr)
 
     @property

@@ -444,10 +444,12 @@ def parse_observations(
 ) -> dict[str, dict[str, list[float]]]:
     """Observation CSV rows as metric -> group -> values.
 
-    Requires columns metric, group, value (extra columns such as run_id are
+    Requires columns metric, group, value (other extra columns are
     ignored); metrics and groups keep the order of first appearance. Values
-    must be finite, of magnitude at most MAX_OBSERVATION. With `metric`, rows
-    of other metrics are skipped without being parsed.
+    must be finite, of magnitude at most MAX_OBSERVATION. With a run_id
+    column, a (run_id, metric) pair that an earlier row holds is refused, so
+    no run counts twice. With `metric`, rows of other metrics are skipped
+    without being parsed.
     """
     header_line, header, rows = read_csv_table(content, "observation file")
     if not header:
@@ -458,11 +460,18 @@ def parse_observations(
         v_col = header.index("value")
     except ValueError:
         raise MalformedLine(header_line, f"header {header} lacks metric/group/value") from None
+    r_col = header.index("run_id") if "run_id" in header else None
+    seen: set[tuple[str, str]] = set()
     by_metric: dict[str, dict[str, list[float]]] = {}
     for line_no, row in rows:
         name = row[m_col].strip()
         if metric is not None and name != metric:
             continue
+        if r_col is not None:
+            run = (row[r_col].strip(), name)
+            if run in seen:
+                raise MalformedLine(line_no, f"run id {run[0]!r} already has a {name} row")
+            seen.add(run)
         try:
             value = float(row[v_col])
         except ValueError:

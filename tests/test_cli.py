@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import glob
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from vceval import _kernels, cli
 from vceval.boxes import DetectionArrays, nms
 from vceval.config import HarnessConfig
 from vceval.dataio import read_tensor, write_detection_file, write_tensor
+from vceval.errors import DegenerateBox
 from vceval.netops import AnchorBox, RawHeadTensor, decode_head
 from vceval.stats import parse_observations
 from vceval.tiler import read_tile_manifest
@@ -589,6 +591,140 @@ class TestDecodeExitCodes:
                 assert err.getvalue().startswith("error: ")
 
 
+_DECODE_THRESHOLDS = [0.0, 0.001, 0.3, 1 - 1e-7, 1.0]
+
+
+def _float32_near(x, ulps=3):
+    """The float32 values within ``ulps`` steps of float32(x)."""
+    near = [np.float32(x)]
+    for _ in range(ulps):
+        near = [np.nextafter(near[0], np.float32(-np.inf)), *near,
+                np.nextafter(near[-1], np.float32(np.inf))]
+    return [float(v) for v in near]
+
+
+def _reference_decode(tensors, stems, score, objectness):
+    """Per stem, the .det.txt text of decode_head over read_tensor of each
+    scale, then one NMS; or the first DegenerateBox as "<path>: <reason>"."""
+    config = HarnessConfig(input_size=32, score_threshold=score,
+                           objectness_threshold=objectness)
+    anchor_sets = [[AnchorBox(w, h) for w, h in config.anchors[i:i + 3]] for i in (6, 3, 0)]
+    texts = {}
+    for stem in stems:
+        parts = []
+        for suffix, anchors, stride in zip(cli.SCALE_SUFFIXES, anchor_sets, (32, 16, 8)):
+            path = os.path.join(tensors, stem + suffix)
+            with open(path, "rb") as fh:
+                tensor = read_tensor(fh.read())
+            try:
+                parts.append(decode_head(tensor, anchors, stride, score,
+                                         objectness_threshold=objectness))
+            except DegenerateBox as exc:
+                return texts, f"{path}: {exc}"
+        texts[stem] = write_detection_file(
+            nms(DetectionArrays.concat(parts), config.nms_iou_threshold))
+    return texts, None
+
+
+class TestDecodeEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), score=st.sampled_from(_DECODE_THRESHOLDS),
+           objectness=st.sampled_from(_DECODE_THRESHOLDS), n_stems=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cli_decode_equals_decode_head_per_scale_then_nms(self, data, score, objectness,
+                                                              n_stems, seed):
+        # objectness logits within a few float32 ulps of the float64 gate
+        # floor and of the logit where the sigmoid reaches the threshold,
+        # plus values from the float32 extremes anywhere
+        p = max(score, objectness)
+        edges = [_kernels._logit_floor(p)]
+        if 0.0 < p < 1.0:
+            edges.append(math.log(p) - math.log1p(-p))
+        near = [v for e in edges if math.isfinite(e) for v in _float32_near(e)] or [0.0]
+        rng = np.random.default_rng(seed)
+        stems = [f"s{i}" for i in range(n_stems)]
+        with tempfile.TemporaryDirectory() as work:
+            tensors = os.path.join(work, "t")
+            os.mkdir(tensors)
+            for stem in stems:
+                for suffix, side in zip(cli.SCALE_SUFFIXES, (1, 2, 4)):
+                    vals = rng.normal(0.0, 2.0, size=(21, side, side)).astype("<f4")
+                    for a in range(3):
+                        vals[7 * a + 4] = rng.choice(near, size=(side, side))
+                    for _ in range(data.draw(st.integers(0, 3))):
+                        at = (data.draw(st.integers(0, 20)), data.draw(st.integers(0, side - 1)),
+                              data.draw(st.integers(0, side - 1)))
+                        vals[at] = data.draw(st.sampled_from(_F32_EXTREMES))
+                    with open(os.path.join(tensors, stem + suffix), "wb") as fh:
+                        fh.write(struct.pack("<4sIII", b"VCT1", 21, side, side) + vals.tobytes())
+            texts, error = _reference_decode(tensors, stems, score, objectness)
+            out = os.path.join(work, "o")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(["decode", "--tensors-dir", tensors, "--out-dir", out,
+                               "--input-size", "32", "--score-threshold", repr(score),
+                               "--objectness-threshold", repr(objectness)])
+            if error is None:
+                assert rc == 0, err.getvalue()
+                for stem in stems:
+                    with open(os.path.join(out, stem + ".det.txt")) as fh:
+                        assert fh.read() == texts[stem], stem
+            else:
+                assert rc == 2
+                assert err.getvalue() == f"error: {error}\n"
+                assert not glob.glob(os.path.join(out, "*.det.txt"))
+
+
+class TestDecodeErrorOrder:
+    """Per stem, per scale: the read, the shape and class checks, then the
+    box rules; an error in a later stem never pre-empts an earlier one."""
+
+    STEMS = [f"s{i}" for i in range(5)]
+
+    def _run(self, tmp_path, capsys, degenerate, truncated):
+        tensors = tmp_path / "t"
+        for stem in self.STEMS:
+            write_scale_tensors(tensors, stem, hot=(1, 0, 1, 1, 1), input_size=32)
+        bad_box = tensors / degenerate
+        vals = read_tensor(bad_box.read_bytes()).values
+        vals[2, 1, 1] = 1000.0  # the hot candidate's width logit
+        bad_box.write_bytes(write_tensor(RawHeadTensor(vals)))
+        short = tensors / truncated
+        short.write_bytes(short.read_bytes()[:-4])
+        out = tmp_path / "o"
+        rc = cli.main(["decode", "--tensors-dir", str(tensors), "--out-dir", str(out),
+                       "--input-size", "32"])
+        return rc, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("degenerate, truncated", [
+        ("s1.s1.vct", "s3.s0.vct"),  # a later stem's read error
+        ("s1.s1.vct", "s1.s2.vct"),  # a later scale's read error in the same stem
+    ])
+    def test_bad_box_before_a_read_error_is_reported(self, tmp_path, capsys, degenerate,
+                                                      truncated):
+        rc, err, out = self._run(tmp_path, capsys, degenerate, truncated)
+        assert rc == 2
+        assert err == (f"error: {tmp_path / 't' / degenerate}: decoded detection 0: "
+                       "x_min must be finite\n")
+        for stem in self.STEMS[1:]:
+            assert not (out / f"{stem}.det.txt").exists()
+
+    @pytest.mark.parametrize("truncated, degenerate", [
+        ("s1.s1.vct", "s3.s1.vct"),  # a later stem's bad box
+        ("s1.s0.vct", "s1.s1.vct"),  # a later scale's bad box in the same stem
+    ])
+    def test_read_error_before_a_bad_box_is_reported(self, tmp_path, capsys, truncated,
+                                                      degenerate):
+        rc, err, out = self._run(tmp_path, capsys, degenerate, truncated)
+        assert rc == 2
+        side = {"s0": 1, "s1": 2}[truncated.split(".")[1]]
+        declared = 21 * side * side * 4
+        assert err == (f"error: {tmp_path / 't' / truncated}: payload carries {declared - 4} "
+                       f"bytes, header declares {declared}\n")
+        for stem in self.STEMS[1:]:
+            assert not (out / f"{stem}.det.txt").exists()
+
+
 def label_line(cls, cx, cy, w, h):
     return f"{cls} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}\n"
 
@@ -684,7 +820,8 @@ class TestEval:
         return ["eval", "--detections-dir", str(dets), "--labels-dir", str(labels),
                 "--out-dir", str(out), "--run-id", run_id, *flags]
 
-    def test_repeated_run_id_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("again", ["r1", " r1 "])
+    def test_repeated_run_id_is_refused(self, tmp_path, capsys, again):
         labels, dets = self.setup_run(tmp_path)
         obs_path = tmp_path / "obs.csv"
         argv = self.eval_argv(labels, dets, tmp_path / "eval", "r1",
@@ -692,9 +829,10 @@ class TestEval:
         assert cli.main(argv) == 0
         before = obs_path.read_text()
         capsys.readouterr()
+        argv[argv.index("r1")] = again
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {obs_path}: run id 'r1' already has a map30 row")
+        assert err.startswith(f"error: {obs_path}: run id {again!r} already has a map30 row")
         assert obs_path.read_text() == before
         assert parse_observations(before) == {
             "map30": {"416": [1.0]}, "f1max": {"416": [1.0]}, "ap30_volunteer-cotton": {"416": [1.0]}}
@@ -904,7 +1042,7 @@ def write_observations(path, per_group, metric="map30"):
     lines = ["run_id,metric,group,value"]
     for group, values in per_group.items():
         for i, v in enumerate(values):
-            lines.append(f"run{i},{metric},{group},{v}")
+            lines.append(f"{group}-run{i},{metric},{group},{v}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -940,6 +1078,19 @@ class TestCompare:
              "--out-dir", str(tmp_path / "cmp")]
         )
         assert rc == 2
+
+    def test_repeated_run_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        write_observations(obs, self.GROUPS)
+        with obs.open("a") as fh:
+            fh.write("320-run0,map30,320,0.71\n")
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", "--observations", str(obs), "--metric", "map30",
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert (f"error: {obs}: line 17: run id '320-run0' already has a map30 row"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_alpha_override_lands_in_report(self, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -1077,7 +1228,7 @@ _LABELS = _lines("0 0.25 0.25 0.1 0.2", "1 0.9 0.9 0.4 0.4")
 _DETECTIONS = _lines("0 0.9 83.2 83.2 41.6 41.6", "1 0.4 300 300 120 120",
                      "0 0.2 10 10 5 5")
 _OBSERVATIONS = _csv("run_id,metric,group,value",
-                     *(f"r{i},map30,{g},{0.1 * k + 0.01 * i ** 2}"
+                     *(f"r{g}-{i},map30,{g},{0.1 * k + 0.01 * i ** 2}"
                        for k, g in enumerate(("320", "416", "512")) for i in range(5)),
                      "r0,f1max,320,0.5")
 _COMPARISON = {"metric": "map30", "branch": "parametric",
@@ -1325,6 +1476,20 @@ class TestConfigPlumbing:
         payload = json.loads((out / "comparison_map30.json").read_text())
         assert payload["config"]["alpha"] == 0.2
         assert payload["alpha"] == 0.2
+
+    def test_empty_config_flag_is_exit_3_not_the_env_config(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        monkeypatch.setenv("VC_EVAL_CONFIG", str(cfg))
+        make_manifest(tmp_path / "images.csv", [(f"i{k}", 640, 640) for k in range(5)])
+        out = tmp_path / "split"
+        rc = cli.main(["split", "--manifest", str(tmp_path / "images.csv"),
+                       "--out-dir", str(out), "--config", ""])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: config path is empty\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_config_key_is_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"

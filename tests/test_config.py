@@ -164,6 +164,17 @@ class TestLoadConfig:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
         assert load_config(str(arg_cfg)).input_size == 320
 
+    def test_empty_path_is_refused_even_with_env(self, tmp_path, monkeypatch):
+        env_cfg = tmp_path / "env.json"
+        env_cfg.write_text(json.dumps({"seed": 5}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
+        with pytest.raises(ConfigError, match="config path is empty"):
+            load_config("")
+
+    def test_empty_env_var_counts_as_unset(self, monkeypatch):
+        monkeypatch.setenv(CONFIG_ENV_VAR, "")
+        assert load_config() == HarnessConfig()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.json"))

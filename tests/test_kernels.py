@@ -242,6 +242,49 @@ def test_decode_grid_logit_gate_drops_no_candidate(p):
         assert scores.tolist() == obj[obj >= p].tolist()
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.001, 0.1, 0.3, 0.5, 0.999, 1 - 1e-7, 1.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logit_gate_is_the_least_value_at_or_above_the_floor(p, dtype):
+    floor = _kernels._logit_floor(p)
+    gate = _kernels.logit_gate(p, np.dtype(dtype))
+    assert type(gate) is dtype
+    assert float(gate) >= floor
+    assert float(np.nextafter(gate, dtype(-np.inf))) < floor or floor == -math.inf
+
+
+@pytest.mark.parametrize("p", [0.0, 0.001, 0.1, 0.3, 1 - 1e-7])
+def test_float32_gate_passes_the_cells_of_the_widened_gate(p):
+    # float32 logits a few ulps around the floor: compared with the Python
+    # float floor, numpy would round the floor to float32 first
+    floor = _kernels._logit_floor(p)
+    base = np.float32(floor if math.isfinite(floor) else 0.0)
+    near = [base]
+    for _ in range(4):
+        near = [np.nextafter(near[0], np.float32(-np.inf)), *near,
+                np.nextafter(near[-1], np.float32(np.inf))]
+    raw32 = np.full((3, 7, 1, len(near)), -3.0, dtype=np.float32)
+    raw32[:, 4, 0] = near
+    got = _kernels.gate_cells(raw32, _kernels.logit_gate(p, np.dtype(np.float32)))
+    want = _kernels.gate_cells(raw32.astype(np.float64), floor)
+    assert got[0].dtype == np.float64
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    if math.isfinite(floor):  # the probes straddle the gate
+        assert 0 < len(got[0]) < raw32[:, 4].size
+
+
+def test_decode_grid_float32_input_matches_float64():
+    rng = np.random.default_rng(7)
+    raw = rng.normal(0.0, 3.0, size=(3, 7, 5, 5)).astype(np.float32)
+    anchors = rng.uniform(5.0, 50.0, size=(3, 2))
+    for thresholds in ((0.0, 0.0), (0.3, 0.3), (0.001, 0.5), (1.0, 0.0)):
+        got = _kernels.decode_grid(raw, anchors, 16.0, *thresholds)
+        want = _kernels.decode_grid(raw.astype(np.float64), anchors, 16.0, *thresholds)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 def test_decode_grid_scan_order_is_anchor_row_col():
     # two candidates in different anchors/cells must come out in
     # (anchor, row, col) order regardless of score

@@ -428,10 +428,10 @@ class TestObservationCsv:
         "r1,map30,320,0.71\n"
         "r1,f1max,320,0.70\n"
         "r2,map30,320,0.74\n"
-        "r1,map30,416,0.80\n"
-        "r2,map30,416,0.82\n"
-        "r1,map30,512,0.90\n"
-        "r2,map30,512,0.88\n"
+        "r3,map30,416,0.80\n"
+        "r4,map30,416,0.82\n"
+        "r5,map30,512,0.90\n"
+        "r6,map30,512,0.88\n"
     )
 
     def test_loads_one_metric(self):
@@ -477,6 +477,27 @@ class TestObservationCsv:
         assert parse_observations(text, "m") == {"m": {"a": [1.0, 2.0], "b": [3.0, 4.0]}}
         with pytest.raises(MalformedLine) as err:
             parse_observations(text)
+        assert err.value.line_no == 4
+
+    def test_repeated_run_is_refused_naming_the_later_line(self):
+        text = "run_id,metric,group,value\nr1,map,a,0.5\nr2,map,a,0.6\n r1 ,map,b,0.5\n"
+        with pytest.raises(MalformedLine, match="run id 'r1' already has a map row") as err:
+            parse_observations(text)
+        assert err.value.line_no == 4
+
+    def test_one_run_may_hold_each_metric_once(self):
+        text = "run_id,metric,group,value\nr1,map,a,0.5\nr1,f1,a,0.6\nr2,map,a,0.7\n"
+        assert parse_observations(text) == {"map": {"a": [0.5, 0.7]}, "f1": {"a": [0.6]}}
+
+    def test_repeated_rows_without_run_ids_all_count(self):
+        text = "metric,group,value\nmap,a,0.5\nmap,a,0.5\n"
+        assert parse_observations(text) == {"map": {"a": [0.5, 0.5]}}
+
+    def test_filter_skips_repeats_of_other_metrics(self):
+        text = "run_id,metric,group,value\nr1,map,a,0.5\nr1,f1,a,0.6\nr1,f1,a,0.6\n"
+        assert parse_observations(text, "map") == {"map": {"a": [0.5]}}
+        with pytest.raises(MalformedLine) as err:
+            parse_observations(text, "f1")
         assert err.value.line_no == 4
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
