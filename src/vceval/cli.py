@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .boxes import DetectionArrays, LabelArrays, detection_rules, first_fault, n
 from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
-    parse_detection_file,
+    parse_detection_texts,
     parse_label_file,
+    parse_label_texts,
     read_csv_table,
     read_image_manifest,
     read_tensor,  # noqa: F401 -- unused, kept importable from cli for perfbench/tests
@@ -197,21 +198,13 @@ def _decode_stems(tensors_dir: str) -> list[str]:
     return sorted(stems)
 
 
-# The most candidates decode gathers from consecutive tiles for one NMS: enough
-# to spread NMS's fixed set-up over many sparse tiles. A tile that would take
-# a batch past it starts a new batch, since NMS time grows faster than its
-# input: 40 dense tiles of about 1,100 candidates took 18 % longer in calls of
-# two tiles than in one call per tile. Decode gathers gated cells the same
-# way: it decodes at once the cells of consecutive tiles until they reach it.
-_NMS_BATCH = 1 << 11
-
 # The pixel stride of each scale's grid, coarsest first.
 _STRIDES = (32, 16, 8)
 
 
 class _NmsBatches:
     """Decoded tiles gathered for one NMS at a time: a tile that would take
-    a batch past _NMS_BATCH candidates starts a new batch."""
+    a batch past _kernels.BATCH_ROWS candidates starts a new batch."""
 
     def __init__(self, config: HarnessConfig, out_dir: str):
         self.config, self.out_dir = config, out_dir
@@ -219,7 +212,7 @@ class _NmsBatches:
 
     def add(self, stem: str, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> None:
         """Add one tile's decoded columns."""
-        if self.stems and self.rows + len(score) > _NMS_BATCH:
+        if self.stems and self.rows + len(score) > _kernels.BATCH_ROWS:
             self.flush()
         self.stems.append(stem)
         self.parts.append((score, class_id, xywh))
@@ -340,7 +333,7 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
             _decode_gated(waiting, config, batches)
             raise
         gated_cells += sum(len(cells) for cells, _, _, _ in gated)
-        if gated_cells >= _NMS_BATCH:
+        if gated_cells >= _kernels.BATCH_ROWS:
             _decode_gated(waiting, config, batches)
             waiting, gated_cells = [], 0
     _decode_gated(waiting, config, batches)
@@ -415,20 +408,59 @@ def _check_tile_size(labels_dir: str, input_size: int) -> None:
         )
 
 
+def _eval_texts(args: argparse.Namespace, stems: list[str]) -> Iterator[tuple]:
+    """(stem, paths, texts, error) for each stem in turn: the paths of its
+    ``.det.txt`` and label file, in that order, and their texts. When a
+    file cannot be read, the last item holds the texts read before it and
+    the error; otherwise the error is None."""
+    for stem in stems:
+        paths = (os.path.join(args.detections_dir, stem + ".det.txt"),
+                 os.path.join(args.labels_dir, stem + ".txt"))
+        texts = []
+        try:
+            for path in paths:
+                texts.append(_read_text(path))
+        except (VCEvalError, OSError) as exc:
+            yield stem, paths, texts, exc
+            return
+        yield stem, paths, texts, None
+
+
+def _read_eval_inputs(args: argparse.Namespace, stems: list[str], extent: int) -> tuple[dict, dict]:
+    """The detections and the labels of each stem, by stem.
+
+    The files are read in the order of a stem-by-stem parse, each stem's
+    ``.det.txt`` before its label file, and parsed a batch of consecutive
+    stems at a time (see _kernels.batched, sized by detection lines): one
+    pass over the batch's detection texts, one over its label texts. The
+    first error is the one the stem-by-stem parse meets first; a file that
+    cannot be read is reported once the files read before it have parsed.
+    """
+    dets_by_image, gts_by_image = {}, {}
+    items = _eval_texts(args, stems)
+    for batch in _kernels.batched(items, lambda item: item[2][0].count("\n") if item[2] else 0):
+        dets, det_fault = parse_detection_texts([texts[0] for _, _, texts, _ in batch if texts])
+        labels, label_fault = parse_label_texts(
+            [texts[1] for _, _, texts, _ in batch if len(texts) == 2], extent, extent)
+        # (stem, file) of each fault: a stem's detections come before its labels
+        faults = [(fault[0], kind, fault[1])
+                  for kind, fault in enumerate((det_fault, label_fault)) if fault]
+        if faults:
+            k, kind, error = min(faults, key=lambda f: f[:2])
+            with _naming(batch[k][1][kind]):
+                raise error
+        if batch[-1][3]:
+            raise batch[-1][3]
+        stems_read = [stem for stem, _, _, _ in batch]
+        dets_by_image.update(zip(stems_read, dets))
+        gts_by_image.update(zip(stems_read, labels))
+    return dets_by_image, gts_by_image
+
+
 def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
     stems = _paired_stems(args.detections_dir, args.labels_dir)
     _check_tile_size(args.labels_dir, config.input_size)
-    dets_by_image = {}
-    gts_by_image = {}
-    extent = config.input_size
-    for stem in stems:
-        dets_by_image[stem] = _parse_file(
-            os.path.join(args.detections_dir, stem + ".det.txt"), parse_detection_file
-        )
-        gts_by_image[stem] = _parse_file(
-            os.path.join(args.labels_dir, stem + ".txt"),
-            lambda text: parse_label_file(text, extent, extent),
-        )
+    dets_by_image, gts_by_image = _read_eval_inputs(args, stems, config.input_size)
     report = evaluate(dets_by_image, gts_by_image, config.eval_iou_threshold)
     os.makedirs(args.out_dir, exist_ok=True)
     group = args.group if args.group is not None else str(config.input_size)
@@ -568,60 +600,71 @@ def _add_overrides(parser: argparse.ArgumentParser, *fields: str) -> None:
         parser.add_argument("--" + field.replace("_", "-"), **_OVERRIDE_FLAGS[field])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given ``command``, one that holds
+    only that command's subparser and parses its command lines as the
+    whole parser does, with the same help, usage and error output."""
     parser = argparse.ArgumentParser(
         prog="vceval",
         description="Tiling, detector-head decoding, AP30/F1 scoring and "
                     "cross-scale statistical comparison for aerial detection runs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the metavar keeps every command in the usage line of an error
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
 
-    p = sub.add_parser("tile", help="plan tiles and remap annotations")
-    p.add_argument("--manifest", required=True, help="image manifest CSV")
-    p.add_argument("--labels-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--tile-size", type=int, dest="input_size", metavar="TILE_SIZE",
-                   help="tile side in pixels (default: config input_size)")
-    p.add_argument("--policy", choices=PADDING_POLICIES, default=PAD_EDGE)
-    _add_overrides(p, "min_visibility")
+    if command in (None, "tile"):
+        p = sub.add_parser("tile", help="plan tiles and remap annotations")
+        p.add_argument("--manifest", required=True, help="image manifest CSV")
+        p.add_argument("--labels-dir", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--tile-size", type=int, dest="input_size", metavar="TILE_SIZE",
+                       help="tile side in pixels (default: config input_size)")
+        p.add_argument("--policy", choices=PADDING_POLICIES, default=PAD_EDGE)
+        _add_overrides(p, "min_visibility")
 
-    p = sub.add_parser("split", help="seeded train/test split of manifest ids")
-    p.add_argument("--manifest", required=True, help="image or tile manifest CSV")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratio-train", type=int, default=4)
-    p.add_argument("--ratio-test", type=int, default=1)
-    _add_overrides(p, "seed")
+    if command in (None, "split"):
+        p = sub.add_parser("split", help="seeded train/test split of manifest ids")
+        p.add_argument("--manifest", required=True, help="image or tile manifest CSV")
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--ratio-train", type=int, default=4)
+        p.add_argument("--ratio-test", type=int, default=1)
+        _add_overrides(p, "seed")
 
-    p = sub.add_parser("decode", help="decode raw head tensors into detection files")
-    p.add_argument("--tensors-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_overrides(p, "input_size", "score_threshold", "objectness_threshold",
-                   "nms_iou_threshold", "class_names")
+    if command in (None, "decode"):
+        p = sub.add_parser("decode", help="decode raw head tensors into detection files")
+        p.add_argument("--tensors-dir", required=True)
+        p.add_argument("--out-dir", required=True)
+        _add_overrides(p, "input_size", "score_threshold", "objectness_threshold",
+                       "nms_iou_threshold", "class_names")
 
-    p = sub.add_parser("eval", help="score detections against labels")
-    p.add_argument("--detections-dir", required=True)
-    p.add_argument("--labels-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--run-id", required=True, type=_one_line)
-    p.add_argument("--group", default=None, type=_one_line,
-                   help="observation group label (default: input size)")
-    p.add_argument("--observations", default=None,
-                   help="observation CSV to append to (default: <out-dir>/observations.csv)")
-    _add_overrides(p, "input_size", "eval_iou_threshold", "class_names")
+    if command in (None, "eval"):
+        p = sub.add_parser("eval", help="score detections against labels")
+        p.add_argument("--detections-dir", required=True)
+        p.add_argument("--labels-dir", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--run-id", required=True, type=_one_line)
+        p.add_argument("--group", default=None, type=_one_line,
+                       help="observation group label (default: input size)")
+        p.add_argument("--observations", default=None,
+                       help="observation CSV to append to (default: <out-dir>/observations.csv)")
+        _add_overrides(p, "input_size", "eval_iou_threshold", "class_names")
 
-    p = sub.add_parser("compare", help="normality-gated group comparison of a metric")
-    p.add_argument("--observations", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_overrides(p, "alpha", "normality_scope", "posthoc")
+    if command in (None, "compare"):
+        p = sub.add_parser("compare", help="normality-gated group comparison of a metric")
+        p.add_argument("--observations", required=True)
+        p.add_argument("--metric", required=True)
+        p.add_argument("--out-dir", required=True)
+        _add_overrides(p, "alpha", "normality_scope", "posthoc")
 
-    p = sub.add_parser("report", help="human-readable roll-up of observations")
-    p.add_argument("--observations", required=True)
-    p.add_argument("--comparisons", nargs="*", default=[],
-                   help="comparison JSON files to include")
-    p.add_argument("--out", default=None, help="output text path (default: stdout)")
-    _add_overrides(p)
+    if command in (None, "report"):
+        p = sub.add_parser("report", help="human-readable roll-up of observations")
+        p.add_argument("--observations", required=True)
+        p.add_argument("--comparisons", nargs="*", default=[],
+                       help="comparison JSON files to include")
+        p.add_argument("--out", default=None, help="output text path (default: stdout)")
+        _add_overrides(p)
 
     return parser
 
@@ -637,8 +680,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command needs only its subparser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, a code kept here for bad data
         return 3 if exc.code == 2 else exc.code

@@ -15,6 +15,7 @@ Plus the seeded 4:1-style train/test split.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import random
@@ -22,7 +23,7 @@ import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NoReturn, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .boxes import (
 from .errors import (
     BadMagic,
     EmptyDataset,
+    FormatError,
     MalformedLine,
     NonFinitePayload,
     OutOfRange,
@@ -97,14 +99,12 @@ class DatasetSplit:
             raise ValueError("train and test sets overlap")
 
 
-def _split_rows(content: str) -> tuple[list[list[str]], list[list[str]]]:
-    """The fields of every line, and those of the lines that are neither
-    blank nor ``#`` comments."""
-    parts = list(map(str.split, content.splitlines()))
-    rows = list(filter(None, parts))
+def _split_rows(content: str) -> list[list[str]]:
+    """The fields of the lines that are neither blank nor ``#`` comments."""
+    rows = list(filter(None, map(str.split, content.splitlines())))
     if "#" in content:
         rows = [p for p in rows if not p[0].startswith("#")]
-    return parts, rows
+    return rows
 
 
 def _row_fault(row: list[str], n: int) -> Optional[str]:
@@ -147,29 +147,54 @@ def _columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray, Opt
         return class_id, values, (k, MalformedLine, reason)
 
 
-def _raise_fault(parts: list[list[str]], row: int, error: type, reason) -> NoReturn:
-    """Raise error(line number, reason) for the row-th line that is
-    neither blank nor a ``#`` comment."""
-    line_nos = [k + 1 for k, p in enumerate(parts) if p and not p[0].startswith("#")]
-    raise error(line_nos[row], reason)
+def _convert_texts(texts: Sequence[str], n: int) -> tuple[np.ndarray, np.ndarray, list[int], Optional[tuple]]:
+    """_columns over the rows of all texts taken together, and where each
+    text's rows start. Conversion stops at the first text with a row that
+    does not convert; the starts then end with that text's.
 
-
-def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
-    """Parse normalized center-format labels into pixel corner-format boxes.
-
-    Fields cx, cy must lie in [0,1] and w, h in (0,1]; the converted pixel
-    box is clipped to the image so annotations that overhang an edge (legal
-    in the normalized encoding, e.g. cx=0.9 w=0.4) stay within bounds, and
-    a box left empty by the clip is dropped. The lines are split once and
-    every field is converted once; the rules then run over all rows as
-    array operations, and a file that breaks any raises the error of its
-    first bad line. A line is checked in this order: field count,
-    non-numeric field, class id outside [0, 2^63 - 1] (MalformedLine);
-    cx, cy, w, h in range, then BoundingBox's checks of the pixel box
-    (OutOfRange).
+    The texts are split and converted one at a time, so that only one
+    text's fields are held as strings at once: the small-object heap keeps
+    the pages such a peak touches, and splitting two dense tiles at once
+    raised a dense-lowscore eval's peak RSS by about 1 MB.
     """
-    parts, rows = _split_rows(content)
-    class_id, values, unconverted = _columns(rows, 5)
+    class_ids, values, starts = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n - 1))], [0]
+    for text in texts:
+        rows = _split_rows(text)
+        class_id, value, fault = _columns(rows, n)
+        class_ids.append(class_id)
+        values.append(value)
+        starts.append(starts[-1] + len(rows))
+        if fault:
+            fault = (starts[-2] + fault[0], *fault[1:])
+            break
+    else:
+        fault = None
+    return np.concatenate(class_ids), np.concatenate(values), starts, fault
+
+
+def _text_fault(texts: Sequence[str], starts: list[int], fault) -> tuple[int, FormatError]:
+    """The text that holds the faulty row of first_fault's ``fault`` (a row
+    of the texts' rows taken together), and its error: the rule's error
+    class with the line number of that row in its text."""
+    row, error, reason = fault
+    k = bisect.bisect_right(starts, row) - 1
+    parts = map(str.split, texts[k].splitlines())
+    line_nos = [n for n, p in enumerate(parts, 1) if p and not p[0].startswith("#")]
+    return k, error(line_nos[row - starts[k]], reason)
+
+
+def parse_label_texts(
+    texts: Sequence[str], image_w: int, image_h: int
+) -> tuple[list[LabelArrays], Optional[tuple[int, FormatError]]]:
+    """Parse label texts of one image extent in one pass: the labels of each
+    text, and the first text that breaks a rule as (its position, the error
+    of its first bad line), or None. When a text is faulty, the labels stop
+    before it. The rules and their order are parse_label_file's.
+
+    Every field is converted once; the rules then run over the rows of all
+    texts as array operations.
+    """
+    class_id, values, starts, unconverted = _convert_texts(texts, 5)
     extent_w, extent_h = float(image_w), float(image_h)
     cx, cy, w, h = values.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,15 +209,39 @@ def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
         (~((h > 0.0) & (h <= 1.0)), OutOfRange, lambda i: f"h={h[i]:g} outside (0, 1]"),
         *box_rules(x_min, y_min, width, height, OutOfRange),
     ]) or unconverted
-    if fault:
-        _raise_fault(parts, *fault)
+    fault = fault and _text_fault(texts, starts, fault)
+    starts = starts[: fault[0] + 1 if fault else None]
+    # the rows of the texts before a faulty one
+    x_min, y_min, width, height = (c[: starts[-1]] for c in (x_min, y_min, width, height))
     # clip_to, as columns; max(v, 0.0) keeps a -0.0, as np.maximum does not
     x1, y1 = np.where(x_min < 0.0, 0.0, x_min), np.where(y_min < 0.0, 0.0, y_min)
     clipped_w = np.minimum(x_min + width, extent_w) - x1
     clipped_h = np.minimum(y_min + height, extent_h) - y1
     keep = (clipped_w > 0.0) & (clipped_h > 0.0)
-    xywh = np.stack((x1, y1, clipped_w, clipped_h), axis=1)
-    return LabelArrays(class_id[keep], xywh[keep])
+    class_id = class_id[: starts[-1]][keep]
+    xywh = np.stack((x1, y1, clipped_w, clipped_h), axis=1)[keep]
+    # where each text's kept rows start
+    kept = np.concatenate(([0], np.cumsum(keep)))[starts]
+    return [LabelArrays(class_id[a:b], xywh[a:b]) for a, b in zip(kept, kept[1:])], fault
+
+
+def parse_label_file(content: str, image_w: int, image_h: int) -> LabelArrays:
+    """Parse normalized center-format labels into pixel corner-format boxes.
+
+    Fields cx, cy must lie in [0,1] and w, h in (0,1]; the converted pixel
+    box is clipped to the image so annotations that overhang an edge (legal
+    in the normalized encoding, e.g. cx=0.9 w=0.4) stay within bounds, and
+    a box left empty by the clip is dropped. A file that breaks any rule
+    raises the error of its first bad line. A line is checked in this
+    order: field count, non-numeric field, class id outside
+    [0, 2^63 - 1] (MalformedLine); cx, cy, w, h in range, then
+    BoundingBox's checks of the pixel box (OutOfRange). The one-text case
+    of parse_label_texts.
+    """
+    labels, fault = parse_label_texts([content], image_w, image_h)
+    if fault:
+        raise fault[1]
+    return labels[0]
 
 
 def write_label_file(
@@ -209,28 +258,44 @@ def write_label_file(
     return "".join(map("%d %.6f %.6f %.6f %.6f\n".__mod__, rows))
 
 
-def parse_detection_file(content: str) -> DetectionArrays:
-    """Parse ``class_id score x_min y_min width height`` lines.
+def parse_detection_texts(
+    texts: Sequence[str],
+) -> tuple[list[DetectionArrays], Optional[tuple[int, FormatError]]]:
+    """Parse detection texts in one pass: the detections of each text, and
+    the first text that breaks a rule as (its position, the error of its
+    first bad line), or None. When a text is faulty, the detections stop
+    before it. The rules and their order are parse_detection_file's.
 
-    The lines are split once and every field is converted once; the rules
-    then run over all rows as array operations, and a file that breaks any
-    raises the error of its first bad line. A line is checked in this
-    order: field count, non-numeric field, class id outside [0, 2^63 - 1]
-    (MalformedLine); score in [0, 1] (ScoreOutOfRange); sides > 0, then
-    BoundingBox's checks (OutOfRange).
+    Every field is converted once; the rules then run over the rows of all
+    texts as array operations.
     """
-    parts, rows = _split_rows(content)
-    class_id, values, unconverted = _columns(rows, 6)
-    score, xywh = values[:, 0], values[:, 1:]
+    class_id, values, starts, unconverted = _convert_texts(texts, 6)
+    score, xywh = values[:, 0].copy(), values[:, 1:].copy()
     x_min, y_min, width, height = xywh.T
     fault = first_fault([
         (~((score >= 0.0) & (score <= 1.0)), ScoreOutOfRange, lambda i: float(score[i])),
         ((width <= 0.0) | (height <= 0.0), OutOfRange, "box sides must be > 0"),
         *box_rules(x_min, y_min, width, height, OutOfRange),
     ]) or unconverted
+    fault = fault and _text_fault(texts, starts, fault)
+    starts = starts[: fault[0] + 1 if fault else None]
+    return [DetectionArrays(score[a:b], class_id[a:b], xywh[a:b])
+            for a, b in zip(starts, starts[1:])], fault
+
+
+def parse_detection_file(content: str) -> DetectionArrays:
+    """Parse ``class_id score x_min y_min width height`` lines.
+
+    A file that breaks any rule raises the error of its first bad line. A
+    line is checked in this order: field count, non-numeric field, class
+    id outside [0, 2^63 - 1] (MalformedLine); score in [0, 1]
+    (ScoreOutOfRange); sides > 0, then BoundingBox's checks (OutOfRange).
+    The one-text case of parse_detection_texts.
+    """
+    dets, fault = parse_detection_texts([content])
     if fault:
-        _raise_fault(parts, *fault)
-    return DetectionArrays(score.copy(), class_id, xywh.copy())
+        raise fault[1]
+    return dets[0]
 
 
 def write_detection_file(dets: Sequence[Detection]) -> str:

@@ -151,52 +151,34 @@ def match_detections(
 
     Detections are processed in descending score (ties by image id, then
     input index). Each one claims its best-IoU not-yet-matched ground truth
-    when that IoU clears the threshold, becoming a true positive; otherwise
-    it is a false positive. Ground truths left unclaimed count as false
-    negatives. The per-image greedy runs are order-independent, so results
-    do not depend on dictionary ordering.
+    (ties to the earlier one in its image's input order) when that IoU
+    clears the threshold, becoming a true positive; otherwise it is a false
+    positive. Ground truths left unclaimed count as false negatives. The
+    per-image greedy runs are order-independent, so results do not depend
+    on dictionary ordering.
 
     The flags come image by image (sorted ids), within an image class by
     class in order of first appearance, each class in descending score
     (ties by index). A DetectionArrays or LabelArrays value is matched as
     it stands; any other sequence of detections or ground truths is
-    converted to one first.
+    converted to one first. Consecutive images are matched together, in
+    batches of at most _kernels.BATCH_ROWS detections (see
+    _kernels.batched), so the (detection, ground truth) pairs held at once
+    stay bounded.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
     image_ids = sorted(set(dets_by_image) | set(gts_by_image))
+    dets = [DetectionArrays.of(dets_by_image.get(i, ())) for i in image_ids]
+    gts = [LabelArrays.of(gts_by_image.get(i, ())) for i in image_ids]
     empty = np.zeros(0, dtype=np.int64)
-    # image, index, class_id, score, is_tp of the flags, image by image
+    # image, index, class_id, score, is_tp of the flags, batch by batch
     columns = [(empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool))]
-    gt_classes = [empty]
-    for image, image_id in enumerate(image_ids):
-        gts = LabelArrays.of(gts_by_image.get(image_id, ()))
-        gt_class = gts.class_id
-        gt_classes.append(gt_class)
-        dets = DetectionArrays.of(dets_by_image.get(image_id, ()))
-        if not len(dets):
-            continue
-        is_tp = np.zeros(len(dets), dtype=bool)
-        order = []
-        classes, first = np.unique(dets.class_id, return_index=True)
-        for class_id in classes[np.argsort(first)]:
-            rows = np.flatnonzero(dets.class_id == class_id)
-            rows = rows[np.argsort(-dets.score[rows], kind="stable")]
-            cols = np.flatnonzero(gt_class == class_id)
-            if cols.size:
-                ious = _kernels.iou_matrix(dets.xyxy[rows], gts.xyxy[cols])
-                is_tp[rows] = _greedy(ious, iou_threshold)
-            order.append(rows)
-        order = np.concatenate(order)
-        columns.append((
-            np.full(len(order), image, dtype=np.int64),
-            order,
-            dets.class_id[order],
-            dets.score[order],
-            is_tp[order],
-        ))
+    for batch in _kernels.batched(range(len(image_ids)), lambda i: len(dets[i])):
+        start, stop = batch[0], batch[-1] + 1
+        columns.append(_match_batch(dets[start:stop], gts[start:stop], start, iou_threshold))
     flags = FlagArrays(image_ids, *(np.concatenate(c) for c in zip(*columns)))
-    gt_class = np.concatenate(gt_classes)
+    gt_class = np.concatenate([empty, *(g.class_id for g in gts)])
     classes = _distinct(np.concatenate((flags.class_id, gt_class)))
     det_pos = np.searchsorted(classes, flags.class_id)
     tp = np.bincount(det_pos[flags.is_tp], minlength=len(classes))
@@ -209,6 +191,103 @@ def match_detections(
     return flags, counts
 
 
+def _match_batch(
+    dets: Sequence[DetectionArrays], gts: Sequence[LabelArrays], first: int, iou_threshold: float
+) -> tuple[np.ndarray, ...]:
+    """The flag columns (image, index, class_id, score, is_tp) of consecutive
+    images, the first of them image ``first``, in match_detections' order.
+
+    A block is the detections or ground truths of one (image, class). One
+    lexsort puts the detections in claiming order, block by block; the
+    IoU of every same-block (detection, ground truth) pair comes from
+    _kernels.iou_pairs, the values iou_matrix gives; the greedy pass then
+    visits only the pairs that clear the threshold.
+    """
+    det_sizes = [len(d) for d in dets]
+    det_image = np.repeat(np.arange(len(dets)), det_sizes)
+    index = np.arange(len(det_image)) - np.repeat(np.cumsum(det_sizes) - det_sizes, det_sizes)
+    score = np.concatenate([d.score for d in dets])
+    det_class = np.concatenate([d.class_id for d in dets])
+    det_xyxy = np.concatenate([d.xyxy for d in dets])
+    gt_image = np.repeat(np.arange(len(gts)), [len(g) for g in gts])
+    gt_class = np.concatenate([g.class_id for g in gts])
+    gt_xyxy = np.concatenate([g.xyxy for g in gts])
+    n = len(score)
+    if n == 0:
+        return det_image, index, det_class, score, np.zeros(0, dtype=bool)
+    # (image, class rank) as one int64 key: the ranks run over the batch's
+    # classes, so the key fits however large the class ids are
+    classes = _distinct(np.concatenate((det_class, gt_class)))
+    det_key = det_image * len(classes) + np.searchsorted(classes, det_class)
+    gt_key = gt_image * len(classes) + np.searchsorted(classes, gt_class)
+    # claiming order: by key, then descending score, ties by position
+    order = np.lexsort((-score, det_key))
+    # then blocks in order of their first detection, i.e. image by image,
+    # classes in order of first appearance
+    key = det_key[order]
+    block = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    size = np.diff(np.append(block, n))
+    by_first = np.argsort(np.minimum.reduceat(order, block))
+    size = size[by_first]
+    order = order[np.arange(n) + np.repeat(block[by_first] - (np.cumsum(size) - size), size)]
+    key = det_key[order]
+    # ground truths block by block, each block by x1: a detection's pairs
+    # are the run of its block that its x extent can meet, from lo, the
+    # first whose x2 or an earlier one's passes its x1, up to hi, the first
+    # whose x1 is not below its x2; the others have no intersection
+    gt_order = np.lexsort((gt_xyxy[:, 0], gt_key))
+    gt_keys, gt_sorted = gt_key[gt_order], gt_xyxy[gt_order]
+    xyxy = det_xyxy[order]
+    lo = _count_before(gt_keys, _run_max(gt_keys, gt_sorted[:, 2]), key, xyxy[:, 0], ties=True)
+    count = np.maximum(_count_before(gt_keys, gt_sorted[:, 0], key, xyxy[:, 2], ties=False) - lo, 0)
+    rank = np.repeat(np.arange(n), count)
+    col = np.arange(len(rank)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    ious = _kernels.iou_pairs(xyxy[rank], gt_sorted[col])
+    hit = ious >= iou_threshold
+    rank, gt, ious = rank[hit], gt_order[col[hit]], ious[hit]
+    # each detection's candidates, best IoU first, ties to the ground truth
+    # earlier in its image
+    seq = np.lexsort((gt, -ious, rank))
+    # the greedy pass: rank by rank, each claims its first unclaimed candidate
+    claimed, last, tp = set(), -1, []
+    for r, g in zip(rank[seq].tolist(), gt[seq].tolist()):
+        if r != last and g not in claimed:
+            claimed.add(g)
+            last = r
+            tp.append(r)
+    is_tp = np.zeros(n, dtype=bool)
+    is_tp[tp] = True
+    return det_image[order] + first, index[order], det_class[order], score[order], is_tp
+
+
+def _count_before(keys_a: np.ndarray, values_a: np.ndarray, keys_b: np.ndarray,
+                  values_b: np.ndarray, ties: bool) -> np.ndarray:
+    """For each (key, value) of b, how many entries of a, which is sorted
+    by key then value, come before it: those of a smaller key, and those of
+    its key with a smaller value, or an equal one when ``ties``."""
+    n = len(keys_a)
+    is_b = np.arange(n + len(keys_b)) >= n
+    # on equal (key, value) an entry of a sorts first when ties
+    order = np.lexsort((is_b if ties else ~is_b, np.concatenate((values_a, values_b)),
+                        np.concatenate((keys_a, keys_b))))
+    seen = np.cumsum(~is_b[order])
+    out = np.empty(len(keys_b), dtype=np.int64)
+    b_at = is_b[order]
+    out[order[b_at] - n] = seen[b_at]
+    return out
+
+
+def _run_max(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The running maximum of ``values`` within each run of equal ``keys``."""
+    n = len(values)
+    by_value = np.argsort(values)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_value] = np.arange(n)
+    # runs offset by n in rank space, so one running maximum restarts at each
+    run = np.cumsum(keys != np.concatenate((keys[:1], keys[:-1]))) * n
+    return values[by_value[np.maximum.accumulate(rank + run) - run]]
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values. (np.unique without index outputs imports
     numpy.ma on its first call, about 20 ms of each eval process.)"""
@@ -216,23 +295,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
-
-
-def _greedy(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """True-positive flags of the rows of a (detections, ground truths) IoU
-    matrix, rows in claiming order: each row claims the first unclaimed
-    column of highest IoU when that IoU clears the threshold."""
-    is_tp = np.zeros(len(ious), dtype=bool)
-    # a row whose best IoU is below the threshold can claim nothing,
-    # whatever earlier rows claimed; only the others are scanned in turn
-    rows = np.flatnonzero(ious.max(axis=1) >= iou_threshold)
-    left = ious[rows]
-    for k, row in enumerate(rows.tolist()):
-        col = int(left[k].argmax())
-        if left[k, col] >= iou_threshold:
-            is_tp[row] = True
-            left[k + 1:, col] = 0.0
-    return is_tp
 
 
 def precision(c: MatchCounts) -> float:

@@ -10,8 +10,10 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import stat
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,11 +25,20 @@ from hypothesis import strategies as st
 from vceval import _kernels, cli
 from vceval.boxes import DetectionArrays, nms
 from vceval.config import HarnessConfig
-from vceval.dataio import read_tensor, write_detection_file, write_tensor
-from vceval.errors import DegenerateBox
+from vceval.dataio import (
+    parse_detection_file,
+    parse_label_file,
+    read_tensor,
+    write_detection_file,
+    write_tensor,
+)
+from vceval.errors import DegenerateBox, VCEvalError
+from vceval.metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from vceval.netops import AnchorBox, RawHeadTensor, decode_head
 from vceval.stats import parse_observations
 from vceval.tiler import read_tile_manifest
+
+from test_metrics import multi_tile_scene
 
 
 def sigmoid(x):
@@ -480,7 +491,7 @@ class TestDecode:
         for suffix in cli.SCALE_SUFFIXES:
             tensors.joinpath("twin_b" + suffix).write_bytes(
                 tensors.joinpath("twin_a" + suffix).read_bytes())
-        assert 63 * 33 > cli._NMS_BATCH >= 63 * 32  # the first batch holds 32 stems
+        assert 63 * 33 > _kernels.BATCH_ROWS >= 63 * 32  # the first batch holds 32 stems
         calls = []
         nms_keep = _kernels.nms_keep
 
@@ -987,6 +998,196 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert "t1.det.txt: line 4: score 1.5 outside [0, 1]" in err
+
+
+def _eval_scene(tmp_path, dets, gts):
+    """Detection and label directories holding a multi_tile_scene: each
+    grid unit is 32 px of a 416 px tile."""
+    det_dir, label_dir = tmp_path / "dets", tmp_path / "labels"
+    det_dir.mkdir()
+    label_dir.mkdir()
+    for tile, rows in dets.items():
+        (det_dir / f"{tile}.det.txt").write_text(
+            "".join(det_line(c, s, x * 32, y * 32, w * 32, h * 32) for c, s, x, y, w, h in rows))
+    for tile, rows in gts.items():
+        (label_dir / f"{tile}.txt").write_text("".join(
+            label_line(c, (x + w / 2) / 13, (y + h / 2) / 13, w / 13, h / 13)
+            for c, x, y, w, h in rows))
+    return det_dir, label_dir
+
+
+def _eval_caps(stems_rows):
+    """The batch caps eval is checked under: one row, one that cuts the
+    stems mid-way, and the default."""
+    return (1, max(1, sum(stems_rows) // 2), _kernels.BATCH_ROWS)
+
+
+def _first_error_ref(det_dir, label_dir, stems):
+    """The error of a stem-by-stem eval read: each stem's ``.det.txt``,
+    then its label file, each read and parsed alone; None when all parse."""
+    for stem in stems:
+        for path, parse in ((det_dir / f"{stem}.det.txt", parse_detection_file),
+                            (label_dir / f"{stem}.txt", lambda t: parse_label_file(t, 416, 416))):
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                return f"{path} is not UTF-8 text"
+            except OSError as exc:
+                return str(exc)
+            try:
+                parse(text)
+            except VCEvalError as exc:
+                return f"{path}: {exc}"
+    return None
+
+
+class TestEvalBatches:
+    """eval parses and matches batches of consecutive tiles capped by
+    _kernels.BATCH_ROWS; its outputs and errors are those of a tile-by-tile
+    read, whatever the cap."""
+
+    def run_eval(self, tmp_path, det_dir, label_dir, cap, name):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "BATCH_ROWS", cap)
+            return cli.main(["eval", "--detections-dir", str(det_dir), "--labels-dir",
+                             str(label_dir), "--out-dir", str(tmp_path / name), "--run-id", "r1",
+                             "--class-names", "a,b"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_outputs_match_the_per_tile_reference_under_any_cap(self, seed):
+        dets, gts = multi_tile_scene(random.Random(seed))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            det_dir, label_dir = _eval_scene(work, dets, gts)
+            stems = sorted(dets)
+            report = evaluate(
+                {s: parse_detection_file((det_dir / f"{s}.det.txt").read_text()) for s in stems},
+                {s: parse_label_file((label_dir / f"{s}.txt").read_text(), 416, 416)
+                 for s in stems},
+                0.3)
+            want = (write_metric_csv(report, "r1", 416), write_pr_curve_csv(report.curves))
+            for k, cap in enumerate(_eval_caps(map(len, dets.values()))):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert self.run_eval(work, det_dir, label_dir, cap, f"eval{k}") == 0
+                out = work / f"eval{k}"
+                assert ((out / "metrics.csv").read_text(), (out / "pr_curves.csv").read_text()) == want
+
+    # bad contents of a file, detection or label
+    _FAULTS = {
+        "det": ["0 1.5 1 1 5 5\n", "0 0.5 1 1 5\n", "x 0.5 1 1 5 5\n", "0 0.5 1 1 -5 5\n"],
+        "label": ["0 1.5 0.5 0.1 0.1\n", "0 0.5 0.5 0.1\n", "-1 0.5 0.5 0.1 0.1\n",
+                  "0 0.5 0.5 0 0.1\n"],
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_first_error_is_the_tile_by_tile_one(self, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            det_dir, label_dir = _eval_scene(work, *multi_tile_scene(rng))
+            stems = sorted(p.name[: -len(".det.txt")] for p in det_dir.iterdir())
+            for stem, kind in rng.sample([(s, k) for s in stems for k in ("det", "label")],
+                                         rng.randint(1, min(4, 2 * len(stems)))):
+                path = det_dir / f"{stem}.det.txt" if kind == "det" else label_dir / f"{stem}.txt"
+                fault = rng.choice(("line", "line", "utf-8", "directory"))
+                if fault == "line":
+                    lines = path.read_text().splitlines(keepends=True)
+                    lines.insert(rng.randint(0, len(lines)), rng.choice(self._FAULTS[kind]))
+                    path.write_text("# header\n\n" * rng.randint(0, 1) + "".join(lines))
+                elif fault == "utf-8":
+                    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+                else:
+                    path.unlink()
+                    path.mkdir()
+            want = _first_error_ref(det_dir, label_dir, stems)
+            rows = [len((det_dir / f"{s}.det.txt").read_bytes().splitlines())
+                    if (det_dir / f"{s}.det.txt").is_file() else 0 for s in stems]
+            for cap in _eval_caps(rows):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = self.run_eval(work, det_dir, label_dir, cap, f"eval{cap}")
+                assert (rc, err.getvalue()) == (2, f"error: {want}\n")
+                assert not (work / f"eval{cap}").exists()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 1 << 11])
+    def test_a_bad_line_before_an_unreadable_file_comes_first(self, tmp_path, capsys, cap):
+        det_dir, label_dir = _eval_scene(
+            tmp_path, {f"t{k}": [(0, 0.5, 1, 1, 2, 2)] for k in range(4)},
+            {f"t{k}": [(0, 1, 1, 2, 2)] for k in range(4)})
+        (label_dir / "t1.txt").write_text(label_line(0, 0.5, 0.5, 0.1, 0.1) + "0 0.5 0.5 0.1\n")
+        (det_dir / "t2.det.txt").write_text("0 1.5 1 1 5 5\n")
+        (det_dir / "t3.det.txt").write_bytes(b"\xff\n")
+        assert self.run_eval(tmp_path, det_dir, label_dir, cap, "eval") == 2
+        assert capsys.readouterr().err == f"error: {label_dir / 't1.txt'}: line 2: expected 5 fields, got 4\n"
+        (label_dir / "t1.txt").write_text(label_line(0, 0.5, 0.5, 0.1, 0.1))
+        assert self.run_eval(tmp_path, det_dir, label_dir, cap, "eval") == 2
+        assert capsys.readouterr().err == f"error: {det_dir / 't2.det.txt'}: line 1: score 1.5 outside [0, 1]\n"
+        (det_dir / "t2.det.txt").write_text("")
+        assert self.run_eval(tmp_path, det_dir, label_dir, cap, "eval") == 2
+        assert capsys.readouterr().err == f"error: {det_dir / 't3.det.txt'} is not UTF-8 text\n"
+
+    def test_dense_tiles_are_parsed_and_paired_two_at_a_time(self, tmp_path, monkeypatch):
+        # 900 detections per tile, each meeting all 12 labels of its tile
+        rng = random.Random(3)
+        tiles, per_tile, labels = 5, 900, 12
+        dets = {f"t{t}": [(0, rng.random(), rng.random(), rng.random(), 9, 9)
+                          for _ in range(per_tile)] for t in range(tiles)}
+        det_dir, label_dir = _eval_scene(tmp_path, dets, {t: [(0, 2, 2, 6, 6)] * labels for t in dets})
+        texts, pairs = [], []
+        parse, iou_pairs = cli.parse_detection_texts, _kernels.iou_pairs
+        monkeypatch.setattr(cli, "parse_detection_texts", lambda t: texts.append(len(t)) or parse(t))
+        monkeypatch.setattr(_kernels, "iou_pairs", lambda a, b: pairs.append(len(a)) or iou_pairs(a, b))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert self.run_eval(tmp_path, det_dir, label_dir, _kernels.BATCH_ROWS, "eval") == 0
+        assert texts == [2, 2, 1]
+        assert sum(pairs) == tiles * per_tile * labels
+        assert max(pairs) == 2 * per_tile * labels
+
+
+class TestParserBuild:
+    """main builds only the subparser of the command its argv names, and that
+    parser prints what the whole parser prints."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parse(argv)
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"], ["--out-dir"], ["extra"],
+                                      ["--version"], ["-h", "--config"]])
+    def test_one_subparser_prints_what_the_whole_parser_prints(self, monkeypatch, command, tail):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, *tail]
+        whole = self.outcome(cli.build_parser().parse_args, argv)
+        assert self.outcome(cli.build_parser(command).parse_args, argv) == whole
+        assert whole[0] in (0, 2)
+        assert self.outcome(lambda a: sys.exit(cli.main(a)), argv) == ({0: 0, 2: 3}[whole[0]],
+                                                                         *whole[1:])
+
+    def test_a_command_line_without_a_command_names_the_argument(self, capsys):
+        assert cli.main([]) == 3
+        assert capsys.readouterr().err.endswith(
+            "vceval: error: the following arguments are required: command\n")
+
+    def test_main_builds_the_named_subparser_only(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or
+                            build(command))
+        for argv in (["eval", "--help"], ["--help"], ["evaluate"], []):
+            self.outcome(cli.main, argv)
+        assert built == ["eval", None, None, None]
+        subparsers = build("eval")._subparsers._group_actions[0]
+        assert list(subparsers.choices) == ["eval"]
 
 
 def _append_rows(path, worker, barrier):

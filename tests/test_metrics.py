@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vceval import _kernels
 from vceval.boxes import BoundingBox, Detection, GroundTruthBox, LabelArrays
 from vceval.errors import EmptyClassSet, NoGroundTruth
 from vceval.metrics import (
@@ -22,7 +26,7 @@ from vceval.metrics import (
     write_pr_curve_csv,
 )
 
-from vceval.dataio import parse_detection_file, write_detection_file
+from vceval.dataio import parse_detection_file, parse_label_file, write_detection_file
 
 from oracles import _corner_iou, ap_step_ref, f1_max_ref, match_ref
 
@@ -414,3 +418,101 @@ class TestMatchAgainstOracle:
 
 def _iou_is(value, det, gt):
     return _corner_iou(det[2:], gt[1:]) == value
+
+
+# class ids of the batched-matching scenes: small ones, and ones that no
+# packed image * classes + class key could hold
+_CLASSES = (0, 1, 7, 2**62 + 3, 2**63 - 1)
+
+
+def multi_tile_scene(rng):
+    """({tile: [(class, score, x, y, w, h)]}, {tile: [(class, x, y, w, h)]})
+    of up to six tiles on a small grid, so that scores tie within and
+    across tiles and IoUs tie and land on thresholds. Tiles may have no
+    detections or no labels, and a class may appear only in detections or
+    only in labels."""
+    det_classes = rng.sample(_CLASSES, rng.randint(1, 4))
+    gt_classes = rng.sample(_CLASSES, rng.randint(1, 4))
+    dets, gts = {}, {}
+    for t in range(rng.randint(1, 6)):
+        tile = f"t{t}"
+        boxes = [(rng.choice(gt_classes), rng.randint(0, 6), rng.randint(0, 6),
+                  rng.choice((1, 2, 4)), rng.choice((1, 2, 4)))
+                 for _ in range(rng.choice((0, 0, 1, 3, 5)))]
+        gts[tile] = boxes
+        dets[tile] = []
+        for _ in range(rng.choice((0, 0, 2, 5, 9))):
+            cls, score = rng.choice(det_classes), rng.choice((0.1, 0.5, 0.5, 0.9, 1.0))
+            if boxes and rng.random() < 0.6:
+                cls, x, y, w, h = rng.choice(boxes) if rng.random() < 0.7 else (cls, *rng.choice(boxes)[1:])
+                x, y = x + rng.choice((-1, 0, 1)), y + rng.choice((-1, 0, 0, 1))
+            else:
+                x, y = rng.randint(0, 6) + rng.choice((0.0, 0.5)), rng.randint(0, 6)
+                w, h = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
+            dets[tile].append((cls, score, x, y, w, h))
+    return dets, gts
+
+
+class TestBatchedMatching:
+    """match_detections matches consecutive images in batches of at most
+    _kernels.BATCH_ROWS detections; the flags and counts are the per-image
+    greedy loop's whatever the cap, in the order its docstring gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.5, 1 / 3, 0.3, 1.0)))
+    def test_any_cap_gives_the_per_image_reference(self, seed, thr):
+        dets, gts = multi_tile_scene(random.Random(seed))
+        det_objs, gt_objs = TestMatchAgainstOracle.objects(dets, gts)
+        want_flags, want_counts = match_ref(dets, gts, thr)
+        total = sum(map(len, dets.values()))
+        for cap in (1, max(1, total // 2), _kernels.BATCH_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernels, "BATCH_ROWS", cap)
+                flags, counts = match_detections(det_objs, gt_objs, thr)
+            assert [(f.image_id, f.index, f.class_id, f.score, f.is_tp) for f in flags] == want_flags
+            assert {c: (m.tp, m.fp, m.fn) for c, m in counts.items()} == want_counts
+
+    def test_flag_order_is_the_documented_one(self):
+        # image by image, classes by first appearance, descending score, ties by index
+        dets = {"b": [det(0, 0, 2, 2, 5, 0.5), det(0, 0, 2, 2, 2**63 - 1, 0.9),
+                      det(0, 0, 2, 2, 5, 0.9), det(0, 0, 2, 2, 5, 0.9)],
+                "a": [det(0, 0, 2, 2, 1, 0.2)]}
+        gts = {"b": [gt(0, 0, 2, 2, 2**63 - 1)], "c": [gt(0, 0, 2, 2, 3)]}
+        flags, counts = match_detections(dets, gts, 0.5)
+        assert [(f.image_id, f.index, f.class_id, f.is_tp) for f in flags] == [
+            ("a", 0, 1, False), ("b", 2, 5, False), ("b", 3, 5, False), ("b", 0, 5, False),
+            ("b", 1, 2**63 - 1, True)]
+        assert counts[3] == MatchCounts(tp=0, fp=0, fn=1)
+        assert counts[2**63 - 1] == MatchCounts(tp=1, fp=0, fn=0)
+
+    def test_an_iou_tie_goes_to_the_earlier_ground_truth(self):
+        # the first detection meets both ground truths at IoU 1/2; the second
+        # meets only the first: it is a true positive when the tie went to
+        # the second ground truth, which the greedy loop does not do
+        gts = {"a": [gt(0, 0, 2, 2), gt(1, 1, 2, 2)]}
+        dets = {"a": [det(0.5, 0.5, 2, 2, score=0.9), det(0, 0, 2, 2, score=0.8)]}
+        assert [_corner_iou((0.5, 0.5, 2, 2), (x, y, 2, 2)) for x, y in ((0, 0), (1, 1))] == [0.5625 / 1.4375] * 2
+        flags, _ = match_detections(dets, gts, 0.3)
+        assert [f.is_tp for f in flags] == [True, False]
+        flags, _ = match_detections({"a": dets["a"]}, {"a": gts["a"][::-1]}, 0.3)
+        assert [f.is_tp for f in flags] == [True, True]
+
+    def test_pairs_stay_within_a_batch(self, monkeypatch):
+        # dense tiles: every detection meets every label of its tile
+        rng = np.random.default_rng(5)
+        tiles, per_tile, labels = 6, 900, 12
+        dets, gts = {}, {}
+        for t in range(tiles):
+            xywh = np.column_stack((rng.uniform(0, 10, (per_tile, 2)), np.full((per_tile, 2), 300.0)))
+            dets[f"t{t}"] = parse_detection_file("".join(
+                f"0 {s:.6f} {x:.6f} {y:.6f} {w:.6f} {h:.6f}\n"
+                for s, (x, y, w, h) in zip(rng.uniform(0, 1, per_tile), xywh)))
+            gts[f"t{t}"] = parse_label_file("0 0.4 0.4 0.5 0.5\n" * labels, 416, 416)
+        pairs = []
+        real = _kernels.iou_pairs
+        monkeypatch.setattr(_kernels, "iou_pairs", lambda a, b: pairs.append(len(a)) or real(a, b))
+        flags, counts = match_detections(dets, gts, 0.3)
+        # 2,048 rows hold two tiles of 900 detections, never the whole run
+        assert sum(pairs) == tiles * per_tile * labels
+        assert max(pairs) == 2 * per_tile * labels
+        assert counts[0].tp == tiles * labels
