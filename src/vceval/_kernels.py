@@ -10,15 +10,15 @@ import math
 
 import numpy as np
 
-# The most rows a command gathers from consecutive tiles for one array pass:
-# enough to spread numpy's fixed set-up over many sparse tiles, few enough to
-# bound the memory of dense ones. decode decodes the gated cells of
-# consecutive tiles at once until they reach it, and runs one NMS per batch of
-# tiles holding at most this many candidates, since NMS time grows faster
-# than its input: 40 dense tiles of about 1,100 candidates took 18 % longer
-# in calls of two tiles than in one call per tile. eval parses and matches
-# batches of tiles holding at most this many detection rows (see batched),
-# which bounds the texts and the (detection, label) pairs it holds at once.
+# The most rows a command gathers from consecutive tiles for one array pass
+# (see batched): enough to spread numpy's fixed set-up over many sparse
+# tiles, few enough to bound the memory of dense ones. decode decodes,
+# checks, suppresses and writes batches of tiles holding at most this many
+# gated cells, one NMS per batch, since NMS time grows faster than its
+# input: 40 dense tiles of about 1,100 candidates took 18 % longer in calls
+# of two tiles than in one call per tile. eval parses and matches batches of
+# tiles holding at most this many detection rows, which bounds the texts and
+# the (detection, label) pairs it holds at once.
 BATCH_ROWS = 1 << 11
 
 # Upper bound on the candidate pairs nms_keep holds at once, so memory stays

@@ -10,7 +10,6 @@ or missing input data, 3 bad configuration or usage.
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import fcntl
 import json
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__, _kernels
 from . import stats as statsmod
-from .boxes import DetectionArrays, LabelArrays, detection_rules, first_fault, nms
+from .boxes import DetectionArrays, LabelArrays, nms
 from .config import CONFIG_ENV_VAR, HarnessConfig, load_config
 from .dataio import (
     AnnotatedImage,
@@ -40,9 +39,9 @@ from .dataio import (
     write_detection_file,
     write_label_file,
 )
-from .errors import ConfigError, DegenerateBox, ShapeMismatch, VCEvalError
+from .errors import ConfigError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
-from .netops import ANCHORS_PER_SCALE, grid_shape
+from .netops import ANCHORS_PER_SCALE, SCALES, check_decoded, grid_shape
 from .tiler import (
     PAD_EDGE,
     PADDING_POLICIES,
@@ -198,48 +197,21 @@ def _decode_stems(tensors_dir: str) -> list[str]:
     return sorted(stems)
 
 
-# The pixel stride of each scale's grid, coarsest first.
-_STRIDES = (32, 16, 8)
-
-
-class _NmsBatches:
-    """Decoded tiles gathered for one NMS at a time: a tile that would take
-    a batch past _kernels.BATCH_ROWS candidates starts a new batch."""
-
-    def __init__(self, config: HarnessConfig, out_dir: str):
-        self.config, self.out_dir = config, out_dir
-        self.stems, self.parts, self.rows = [], [], 0
-
-    def add(self, stem: str, score: np.ndarray, class_id: np.ndarray, xywh: np.ndarray) -> None:
-        """Add one tile's decoded columns."""
-        if self.stems and self.rows + len(score) > _kernels.BATCH_ROWS:
-            self.flush()
-        self.stems.append(stem)
-        self.parts.append((score, class_id, xywh))
-        self.rows += len(score)
-
-    def flush(self) -> None:
-        """Suppress within each tile of the batch by one NMS over all of
-        them, and write each tile's ``.det.txt``.
-
-        Each tile's class ids are offset by its slot times the class count,
-        so no box meets a box of another tile; the kept rows of one tile
-        come out in that tile's own scan order, as an NMS of the tile alone
-        gives them.
-        """
-        if not self.stems:
+def _read_stems(stems: list[str], paths_of, read) -> Iterator[tuple]:
+    """(stem, paths, items, error) for each stem in turn: its paths,
+    ``paths_of(stem)``, and ``read(path, k)`` of its k-th path, in order.
+    When a read fails, the last tuple holds the items read before it and
+    the error; otherwise the error is None."""
+    for stem in stems:
+        paths = paths_of(stem)
+        items = []
+        try:
+            for k, path in enumerate(paths):
+                items.append(read(path, k))
+        except (VCEvalError, OSError) as exc:
+            yield stem, paths, items, exc
             return
-        k = len(self.config.class_names)
-        score, class_id, xywh = map(np.concatenate, zip(*self.parts))
-        slot = np.repeat(np.arange(len(self.parts)), [len(p[0]) for p in self.parts])
-        kept = nms(DetectionArrays(score, class_id + slot * k, xywh), self.config.nms_iou_threshold)
-        tile = kept.class_id // k
-        rows = np.argsort(tile, kind="stable")
-        ends = np.cumsum(np.bincount(tile, minlength=len(self.stems)))
-        for stem, part in zip(self.stems, np.split(rows, ends[:-1])):
-            local = DetectionArrays(kept.score[part], kept.class_id[part] % k, kept.xywh[part])
-            _write_text(os.path.join(self.out_dir, stem + ".det.txt"), write_detection_file(local))
-        self.stems, self.parts, self.rows = [], [], 0
+        yield stem, paths, items, None
 
 
 def _gate_head(path: str, side: int, config: HarnessConfig, gate: np.float32) -> tuple:
@@ -247,8 +219,12 @@ def _gate_head(path: str, side: int, config: HarnessConfig, gate: np.float32) ->
     the class count, and gate its float32 objectness logits: the gated
     cells, widened to float64, with their anchor, row and column (see
     _kernels.gate_cells)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        name = os.path.basename(path)  # <stem>.s<k>.vct
+        raise VCEvalError(f"{name.rsplit('.', 2)[0]}: missing scale file {name}") from None
     with _naming(path):
         values = read_tensor_view(data)
         c, h, w = values.shape
@@ -264,49 +240,18 @@ def _gate_head(path: str, side: int, config: HarnessConfig, gate: np.float32) ->
     return _kernels.gate_cells(values.reshape(ANCHORS_PER_SCALE, -1, h, w), gate)
 
 
-def _decode_gated(waiting: list, config: HarnessConfig, batches: _NmsBatches) -> None:
-    """Decode the gated cells of the tiles in ``waiting`` at once, and add
-    each tile's detections to ``batches``, in order.
-
-    ``waiting`` holds (stem, paths, gated heads) per tile, one head per
-    scale; the last tile may hold fewer heads, when reading its next one
-    failed, and is decoded but not added. One sigmoid, one box computation
-    and one check of Detection's rules cover every cell, each cell with its
-    own scale's anchors and stride. The first decoded row that breaks a
-    rule raises DegenerateBox, naming its ``.vct`` file and its row within
-    that head, once the tiles before its own are added: the error and the
-    files written are those of decoding one head at a time.
-    """
-    heads = [head for _, _, gated in waiting for head in gated]
-    if not heads:
-        return
-    sizes = [len(cells) for cells, _, _, _ in heads]
-    cells, ai, yi, xi = map(np.concatenate, zip(*heads))
-    # every tile's heads run from scale 0, the coarsest grid, which takes
-    # the largest anchor triple
-    scale = np.repeat(np.arange(len(heads)) % len(SCALE_SUFFIXES), sizes)
-    anchor_wh = np.array(config.anchors)[ANCHORS_PER_SCALE * (2 - scale) + ai]
-    stride = np.array(_STRIDES, dtype=np.float64)[scale]
-    boxes, score, class_id, kept = _kernels.decode_cells(
-        cells, anchor_wh, stride, xi, yi, config.score_threshold, config.objectness_threshold)
-    score = np.minimum(score, 1.0)
-    # kept is ascending, so each head's decoded rows start where its cells do
-    starts = [0, *np.searchsorted(kept, np.cumsum(sizes)).tolist()]
-    fault = first_fault(detection_rules(score, class_id, boxes))
-    bad = bisect.bisect_right(starts, fault[0]) - 1 if fault else len(heads)
-    h = 0
-    for stem, paths, gated in waiting:
-        if bad < h + len(gated):
-            row, _, reason = fault
-            with _naming(paths[bad - h]):
-                raise DegenerateBox(f"decoded detection {row - starts[bad]}: {reason}")
-        if len(gated) == len(SCALE_SUFFIXES):
-            rows = slice(starts[h], starts[h + len(gated)])
-            batches.add(stem, score[rows], class_id[rows], boxes[rows])
-        h += len(gated)
-
-
 def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
+    """Decode the stems in batches of consecutive stems (see
+    _kernels.batched, sized by gated cells).
+
+    One decode covers every gated cell of a batch, each cell with its own
+    scale's anchors and stride. The first decoded box that breaks a rule is
+    raised, naming its ``.vct`` file and its row in that head; then a failed
+    read of the batch's last stem. Otherwise one NMS runs over the batch,
+    each tile's class ids offset by its place in it so that boxes of two
+    tiles never meet, and each tile's ``.det.txt`` is written. So after an
+    error, every earlier batch's files exist and none of the failing one's.
+    """
     grids = grid_shape(config.input_size)
     stems = _decode_stems(args.tensors_dir)
     if not stems:
@@ -316,28 +261,39 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
     # threshold fails; gate on the float32 logit before any widening
     gate = _kernels.logit_gate(max(config.score_threshold, config.objectness_threshold),
                                np.dtype(np.float32))
-    batches = _NmsBatches(config, args.out_dir)
-    waiting, gated_cells = [], 0
-    for stem in stems:
-        paths = [os.path.join(args.tensors_dir, stem + suffix) for suffix in SCALE_SUFFIXES]
-        gated = []
-        waiting.append((stem, paths, gated))
-        try:
-            for path, suffix, side in zip(paths, SCALE_SUFFIXES, grids):
-                try:
-                    gated.append(_gate_head(path, side, config, gate))
-                except FileNotFoundError:
-                    raise VCEvalError(f"{stem}: missing scale file {stem + suffix}") from None
-        except (VCEvalError, OSError):
-            # a bad box in a head read before this one is the first error
-            _decode_gated(waiting, config, batches)
-            raise
-        gated_cells += sum(len(cells) for cells, _, _, _ in gated)
-        if gated_cells >= _kernels.BATCH_ROWS:
-            _decode_gated(waiting, config, batches)
-            waiting, gated_cells = [], 0
-    _decode_gated(waiting, config, batches)
-    batches.flush()
+    anchors = np.array(config.anchors)[[range(first, first + ANCHORS_PER_SCALE)
+                                        for _, first in SCALES]]  # (scale, anchor, 2)
+    strides = np.array([stride for stride, _ in SCALES], dtype=np.float64)
+    k = len(config.class_names)
+    stem_heads = _read_stems(
+        stems, lambda stem: [os.path.join(args.tensors_dir, stem + s) for s in SCALE_SUFFIXES],
+        lambda path, i: _gate_head(path, grids[i], config, gate))
+    for batch in _kernels.batched(stem_heads, lambda item: sum(len(h[0]) for h in item[2])):
+        heads = [head for _, _, gated, _ in batch for head in gated]
+        if not heads:  # the batch is one stem whose first read failed
+            raise batch[-1][3]
+        cells, ai, yi, xi = map(np.concatenate, zip(*heads))
+        head = np.repeat(np.arange(len(heads)), [len(h[0]) for h in heads])
+        scale = head % len(SCALES)
+        boxes, score, class_id, kept = _kernels.decode_cells(
+            cells, anchors[scale, ai], strides[scale], xi, yi,
+            config.score_threshold, config.objectness_threshold)
+        head = head[kept]
+        score, fault = check_decoded(score, class_id, boxes, head)
+        if fault:
+            paths = [path for _, paths, gated, _ in batch for path in paths[:len(gated)]]
+            with _naming(paths[fault[0]]):
+                raise fault[1]
+        if batch[-1][3]:
+            raise batch[-1][3]
+        tile = head // len(SCALES)
+        dets = nms(DetectionArrays(score, class_id + tile * k, boxes), config.nms_iou_threshold)
+        tile = dets.class_id // k
+        rows = np.argsort(tile, kind="stable")  # each tile's rows in its own scan order
+        ends = np.cumsum(np.bincount(tile, minlength=len(batch)))
+        for (stem, _, _, _), part in zip(batch, np.split(rows, ends[:-1])):
+            local = DetectionArrays(dets.score[part], dets.class_id[part] % k, dets.xywh[part])
+            _write_text(os.path.join(args.out_dir, stem + ".det.txt"), write_detection_file(local))
     _echo_config(args.out_dir, config)
     print(f"decoded {len(stems)} image(s) at input size {config.input_size}")
     return 0
@@ -364,10 +320,14 @@ def _paired_stems(detections_dir: str, labels_dir: str) -> list[str]:
     return sorted(det_stems)
 
 
-def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> None:
+def _append_observations(path: str, rows: list[tuple[str, str, str, float]],
+                         write_first=None) -> None:
     """Append rows under an exclusive flock on the observation file, so
     concurrent writers neither lose rows nor write the header twice, and
-    refuse a (run id, metric) pair that the file holds: no run counts twice."""
+    refuse a (run id, metric) pair that the file holds: no run counts twice.
+    ``write_first()``, when given, runs under the lock once the rows are
+    known to be new and before they are appended, so a refused run writes
+    nothing and the rows follow the files they come from."""
     while True:
         with open(path, "a", encoding="utf-8") as locked:  # creates, never truncates
             fcntl.flock(locked, fcntl.LOCK_EX)
@@ -385,6 +345,8 @@ def _append_observations(path: str, rows: list[tuple[str, str, str, float]]) -> 
                 for run_id, metric, _, _ in rows:
                     if (run_id.strip(), metric) in taken:
                         raise VCEvalError(f"run id {run_id!r} already has a {metric} row")
+            if write_first:
+                write_first()
             lines = existing if existing else OBSERVATION_HEADER + "\n"
             if not lines.endswith("\n"):  # a last row without its newline
                 lines += "\n"
@@ -408,24 +370,6 @@ def _check_tile_size(labels_dir: str, input_size: int) -> None:
         )
 
 
-def _eval_texts(args: argparse.Namespace, stems: list[str]) -> Iterator[tuple]:
-    """(stem, paths, texts, error) for each stem in turn: the paths of its
-    ``.det.txt`` and label file, in that order, and their texts. When a
-    file cannot be read, the last item holds the texts read before it and
-    the error; otherwise the error is None."""
-    for stem in stems:
-        paths = (os.path.join(args.detections_dir, stem + ".det.txt"),
-                 os.path.join(args.labels_dir, stem + ".txt"))
-        texts = []
-        try:
-            for path in paths:
-                texts.append(_read_text(path))
-        except (VCEvalError, OSError) as exc:
-            yield stem, paths, texts, exc
-            return
-        yield stem, paths, texts, None
-
-
 def _read_eval_inputs(args: argparse.Namespace, stems: list[str], extent: int) -> tuple[dict, dict]:
     """The detections and the labels of each stem, by stem.
 
@@ -437,7 +381,9 @@ def _read_eval_inputs(args: argparse.Namespace, stems: list[str], extent: int) -
     cannot be read is reported once the files read before it have parsed.
     """
     dets_by_image, gts_by_image = {}, {}
-    items = _eval_texts(args, stems)
+    items = _read_stems(stems, lambda stem: (os.path.join(args.detections_dir, stem + ".det.txt"),
+                                             os.path.join(args.labels_dir, stem + ".txt")),
+                        lambda path, _: _read_text(path))
     for batch in _kernels.batched(items, lambda item: item[2][0].count("\n") if item[2] else 0):
         dets, det_fault = parse_detection_texts([texts[0] for _, _, texts, _ in batch if texts])
         labels, label_fault = parse_label_texts(
@@ -464,11 +410,15 @@ def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
     report = evaluate(dets_by_image, gts_by_image, config.eval_iou_threshold)
     os.makedirs(args.out_dir, exist_ok=True)
     group = args.group if args.group is not None else str(config.input_size)
-    _write_text(
-        os.path.join(args.out_dir, "metrics.csv"),
-        write_metric_csv(report, args.run_id, config.input_size),
-    )
-    _write_text(os.path.join(args.out_dir, "pr_curves.csv"), write_pr_curve_csv(report.curves))
+
+    def write_run_files():
+        _write_text(
+            os.path.join(args.out_dir, "metrics.csv"),
+            write_metric_csv(report, args.run_id, config.input_size),
+        )
+        _write_text(os.path.join(args.out_dir, "pr_curves.csv"), write_pr_curve_csv(report.curves))
+        _echo_config(args.out_dir, config)
+
     obs_rows = [
         (args.run_id, "map30", group, report.mean_ap),
         (args.run_id, "f1max", group, report.f1_max),
@@ -483,8 +433,7 @@ def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
             )
         )
     observations = args.observations or os.path.join(args.out_dir, "observations.csv")
-    _append_observations(observations, obs_rows)
-    _echo_config(args.out_dir, config)
+    _append_observations(observations, obs_rows, write_run_files)
     per_class = ", ".join(
         f"{_class_label(config, cid)}={ap:.4f}" for cid, ap in sorted(report.per_class_ap.items())
     )

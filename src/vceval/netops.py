@@ -29,6 +29,11 @@ DEFAULT_ANCHORS: tuple[tuple[float, float], ...] = (
     (116.0, 90.0), (156.0, 198.0), (373.0, 326.0),
 )
 
+#: The detection scales, coarsest grid first: each one's pixel stride and
+#: the position in the anchors of the first of its ANCHORS_PER_SCALE
+#: anchors, so the coarsest grid takes the largest.
+SCALES: tuple[tuple[int, int], ...] = ((32, 6), (16, 3), (8, 0))
+
 
 def relu(x):
     """max(x, 0), elementwise on arrays."""
@@ -140,10 +145,10 @@ def decode_cell(raw: RawCellPrediction, cell: GridCell, anchor: AnchorBox) -> De
 
 
 def grid_shape(input_size: int) -> tuple[int, int, int]:
-    """Grid side lengths for the three detection scales (coarse to fine)."""
+    """Grid side lengths of the detection scales, SCALES' order."""
     if input_size <= 0 or input_size % 32 != 0:
         raise NotMultipleOf32(f"input size {input_size} is not a positive multiple of 32")
-    return (input_size // 32, input_size // 16, input_size // 8)
+    return tuple(input_size // stride for stride, _ in SCALES)
 
 
 NON_FINITE_HEAD = "head tensor values must be finite"
@@ -230,13 +235,30 @@ def decode_head(
         float(score_threshold),
         float(objectness_threshold),
     )
-    score = np.minimum(scores, 1.0)
+    score, fault = check_decoded(scores, class_ids, xywh)
+    if fault:
+        raise fault[1]
+    return DetectionArrays(score, class_ids, xywh)
+
+
+def check_decoded(score, class_id, xywh, head=None):
+    """Decoded rows against Detection's rules: the scores clamped to 1,
+    and the first fault, or None when every row keeps the rules.
+
+    ``head`` gives each row's head, in non-decreasing order, when the rows
+    come from more than one. A fault is (head, DegenerateBox) for the first
+    row that breaks a rule; the error counts that row from the first row
+    of its own head.
+    """
+    score = np.minimum(score, 1.0)
     # the corners of a bad box are not formed, so no overflow warning escapes
-    fault = first_fault(detection_rules(score, class_ids, xywh))
+    fault = first_fault(detection_rules(score, class_id, xywh))
     if fault:
         row, _, reason = fault
-        raise DegenerateBox(f"decoded detection {row}: {reason}")
-    return DetectionArrays(score, class_ids, xywh)
+        h = 0 if head is None else int(head[row])
+        first = 0 if head is None else int(np.searchsorted(head, h))
+        fault = h, DegenerateBox(f"decoded detection {row - first}: {reason}")
+    return score, fault
 
 
 def assign_responsible_cells(

@@ -736,6 +736,117 @@ class TestDecodeErrorOrder:
             assert not (out / f"{stem}.det.txt").exists()
 
 
+def _batches_of(rows, cap):
+    """The positions of consecutive items gathered as decode and eval
+    gather them: an item that would take a batch past ``cap`` rows starts
+    a new one."""
+    batches, total = [[]], 0
+    for i, n in enumerate(rows):
+        if batches[-1] and total + n > cap:
+            batches.append([])
+            total = 0
+        batches[-1].append(i)
+        total += n
+    return batches
+
+
+class TestDecodeBatchCaps:
+    """decode cuts consecutive stems into batches of at most
+    _kernels.BATCH_ROWS gated cells; each batch is decoded, checked,
+    suppressed and written on its own. Whatever the cap, every file written
+    is the per-stem reference's and the first error is the reference's;
+    after an error, the files of every earlier batch exist and none of the
+    failing batch's or a later one's."""
+
+    def run_decode(self, tensors, out, cap, *flags):
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            mp.setattr(_kernels, "BATCH_ROWS", cap)
+            rc = cli.main(["decode", "--tensors-dir", str(tensors), "--out-dir", str(out),
+                           "--input-size", "32", *flags])
+        return rc, err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), score=st.sampled_from(_DECODE_THRESHOLDS),
+           objectness=st.sampled_from(_DECODE_THRESHOLDS), n_stems=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_cap_gives_the_reference_files_and_error(self, data, score, objectness,
+                                                           n_stems, seed):
+        p = max(score, objectness)
+        edges = [_kernels._logit_floor(p)]
+        if 0.0 < p < 1.0:
+            edges.append(math.log(p) - math.log1p(-p))
+        near = [v for e in edges if math.isfinite(e) for v in _float32_near(e)] or [0.0]
+        gate = _kernels.logit_gate(p, np.dtype(np.float32))
+        rng = np.random.default_rng(seed)
+        stems = [f"s{i}" for i in range(n_stems)]
+        gated = [0] * n_stems
+        with tempfile.TemporaryDirectory() as work:
+            tensors = os.path.join(work, "t")
+            os.mkdir(tensors)
+            for i, stem in enumerate(stems):
+                for suffix, side in zip(cli.SCALE_SUFFIXES, (1, 2, 4)):
+                    vals = rng.normal(0.0, 2.0, size=(21, side, side)).astype("<f4")
+                    for a in range(3):
+                        vals[7 * a + 4] = rng.choice(near, size=(side, side))
+                    for _ in range(data.draw(st.integers(0, 3))):
+                        at = (data.draw(st.integers(0, 20)), data.draw(st.integers(0, side - 1)),
+                              data.draw(st.integers(0, side - 1)))
+                        vals[at] = data.draw(st.sampled_from(_F32_EXTREMES))
+                    gated[i] += int((vals[4::7] >= gate).sum())
+                    with open(os.path.join(tensors, stem + suffix), "wb") as fh:
+                        fh.write(struct.pack("<4sIII", b"VCT1", 21, side, side) + vals.tobytes())
+            texts, error = _reference_decode(tensors, stems, score, objectness)
+            for cap in (1, max(1, sum(gated) // 2), _kernels.BATCH_ROWS):
+                out = os.path.join(work, f"o{cap}")
+                rc, err = self.run_decode(tensors, out, cap, "--score-threshold", repr(score),
+                                          "--objectness-threshold", repr(objectness))
+                batch_of = {stems[i]: b for b, batch in enumerate(_batches_of(gated, cap))
+                            for i in batch}
+                # the stem of the reference error is the first one without a text
+                failed = batch_of[stems[len(texts)]] if error else len(stems)
+                if error is None:
+                    assert rc == 0, err
+                else:
+                    assert rc == 2
+                    assert err == f"error: {error}\n"
+                for stem in stems:
+                    path = os.path.join(out, stem + ".det.txt")
+                    assert os.path.exists(path) == (batch_of[stem] < failed), (cap, stem)
+                    if batch_of[stem] < failed:
+                        with open(path) as fh:
+                            assert fh.read() == texts[stem], (cap, stem)
+
+    @pytest.mark.parametrize("per_batch, written", [(1, 3), (2, 2)])
+    @pytest.mark.parametrize("damage", ["bad box", "read error"])
+    def test_an_error_leaves_the_earlier_batches_written(self, tmp_path, per_batch, written,
+                                                         damage):
+        # at input size 32 every one of a stem's 3 * (1 + 4 + 16) = 63 zero
+        # cells passes the 0.3 gate, and only the hot one scores 0.3
+        tensors = tmp_path / "t"
+        stems = [f"s{i}" for i in range(5)]
+        for stem in stems:
+            write_scale_tensors(tensors, stem, hot=(1, 0, 1, 1, 1), input_size=32)
+        path = tensors / "s3.s1.vct"
+        if damage == "bad box":
+            vals = read_tensor(path.read_bytes()).values
+            vals[2, 1, 1] = 1000.0  # the hot candidate's width logit
+            path.write_bytes(write_tensor(RawHeadTensor(vals)))
+            want = f"error: {path}: decoded detection 0: x_min must be finite\n"
+        else:
+            path.write_bytes(path.read_bytes()[:-4])
+            declared = 21 * 2 * 2 * 4
+            want = f"error: {path}: payload carries {declared - 4} bytes, header declares {declared}\n"
+        out = tmp_path / "o"
+        # batches of per_batch stems: s3 shares its batch with s2 when two fit
+        assert self.run_decode(tensors, out, 63 * per_batch) == (2, want)
+        texts, _ = _reference_decode(str(tensors), stems[:3], 0.3, 0.3)
+        assert sorted(p.name for p in out.iterdir()) == [f"{s}.det.txt" for s in stems[:written]]
+        for stem in stems[:written]:
+            assert (out / f"{stem}.det.txt").read_text() == texts[stem]
+
+
 def label_line(cls, cx, cy, w, h):
     return f"{cls} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}\n"
 
@@ -847,6 +958,21 @@ class TestEval:
         assert obs_path.read_text() == before
         assert parse_observations(before) == {
             "map30": {"416": [1.0]}, "f1max": {"416": [1.0]}, "ap30_volunteer-cotton": {"416": [1.0]}}
+
+    def test_refused_rerun_leaves_the_first_runs_outputs(self, tmp_path, capsys):
+        labels, dets = self.setup_run(tmp_path, tp=False)
+        out = tmp_path / "eval"
+        assert cli.main(self.eval_argv(labels, dets, out, "r1",
+                                       "--eval-iou-threshold", "0.3")) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(first) == ["config_used.json", "metrics.csv", "observations.csv",
+                                 "pr_curves.csv"]
+        # a re-run of r1 that would score 1.0, at another threshold
+        dets.joinpath("t1.det.txt").write_text(det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6))
+        assert cli.main(self.eval_argv(labels, dets, out, "r1",
+                                       "--eval-iou-threshold", "0.5")) == 2
+        assert "run id 'r1' already has a map30 row" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_run_ids_with_comma_and_quote_round_trip_through_compare(self, tmp_path, capsys):
         labels, dets = self.setup_run(tmp_path)
