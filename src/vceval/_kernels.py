@@ -1,5 +1,6 @@
-"""The hot kernels in numpy: pairwise IoU, greedy NMS and head decode, plus
-the package's one sigmoid.
+"""The hot kernels in numpy: pairwise IoU, greedy NMS and head decode (the
+logit gate of gate_cells, then decode_cells over the gated cells of one or
+more heads, which netops.decode_heads runs), plus the package's one sigmoid.
 
 The package calls these kernels through this module (``_kernels.nms_keep(...)``)
 instead of binding the names at import, so a profiler that replaces one of
@@ -333,31 +334,3 @@ def decode_cells(cells, anchor_wh, stride, xi, yi, score_threshold, objectness_t
     boxes[:, 2] = bw
     boxes[:, 3] = bh
     return boxes, score[kept], best_cls[kept].astype(np.int64, copy=False), kept
-
-
-def decode_grid(raw, anchors, stride, score_threshold, objectness_threshold):
-    """Decode one detector head into scored corner-format boxes: the gate
-    of gate_cells, then decode_cells.
-
-    raw: (A, 5+K, H, W) with per-anchor channels ordered (tx, ty, tw, th,
-    objectness, class logits...), float64 or float32, which is gated as
-    it is and widened only in the gated cells. anchors: (A, 2) pixel
-    (width, height). Candidates are scanned in (anchor, row, col) order;
-    kept when sigmoid(objectness) >= objectness_threshold and objectness *
-    best class probability >= score_threshold.
-
-    Returns (boxes (M, 4) as x_min/y_min/width/height, scores (M,),
-    class_ids (M,)).
-    """
-    raw = np.asarray(raw)
-    if raw.dtype != np.float32:
-        raw = raw.astype(np.float64, copy=False)
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
-    # score <= objectness, so a cell whose objectness is below either
-    # threshold fails; gate on the raw logit before any sigmoid
-    gate = logit_gate(max(score_threshold, objectness_threshold), raw.dtype)
-    cells, ai, yi, xi = gate_cells(raw, gate)
-    strides = np.full(ai.shape, stride, dtype=np.float64)
-    boxes, scores, class_ids, _ = decode_cells(
-        cells, anchors[ai], strides, xi, yi, score_threshold, objectness_threshold)
-    return boxes, scores, class_ids

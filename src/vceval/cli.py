@@ -41,7 +41,7 @@ from .dataio import (
 )
 from .errors import ConfigError, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
-from .netops import ANCHORS_PER_SCALE, SCALES, check_decoded, grid_shape
+from .netops import ANCHORS_PER_SCALE, SCALES, decode_heads, grid_shape
 from .tiler import (
     PAD_EDGE,
     PADDING_POLICIES,
@@ -272,22 +272,17 @@ def cmd_decode(args: argparse.Namespace, config: HarnessConfig) -> int:
         heads = [head for _, _, gated, _ in batch for head in gated]
         if not heads:  # the batch is one stem whose first read failed
             raise batch[-1][3]
-        cells, ai, yi, xi = map(np.concatenate, zip(*heads))
-        head = np.repeat(np.arange(len(heads)), [len(h[0]) for h in heads])
-        scale = head % len(SCALES)
-        boxes, score, class_id, kept = _kernels.decode_cells(
-            cells, anchors[scale, ai], strides[scale], xi, yi,
-            config.score_threshold, config.objectness_threshold)
-        head = head[kept]
-        score, fault = check_decoded(score, class_id, boxes, head)
+        scale = np.arange(len(heads)) % len(SCALES)
+        dets, head, fault = decode_heads(heads, anchors[scale], strides[scale],
+                                         config.score_threshold, config.objectness_threshold)
         if fault:
             paths = [path for _, paths, gated, _ in batch for path in paths[:len(gated)]]
             with _naming(paths[fault[0]]):
                 raise fault[1]
         if batch[-1][3]:
             raise batch[-1][3]
-        tile = head // len(SCALES)
-        dets = nms(DetectionArrays(score, class_id + tile * k, boxes), config.nms_iou_threshold)
+        dets.class_id += head // len(SCALES) * k
+        dets = nms(dets, config.nms_iou_threshold)
         tile = dets.class_id // k
         rows = np.argsort(tile, kind="stable")  # each tile's rows in its own scan order
         ends = np.cumsum(np.bincount(tile, minlength=len(batch)))

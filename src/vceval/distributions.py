@@ -172,19 +172,6 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape must be > 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
-
-
 def chi2_sf(x: float, df: float) -> float:
     """Upper tail of the chi-square distribution."""
     if df <= 0:

@@ -217,7 +217,8 @@ def decode_head(
     column) scan order, as the columns of a DetectionArrays. A kept
     candidate that is not a valid Detection (e.g. a size logit so large
     that its side overflows) raises DegenerateBox with the reason the
-    Detection would give.
+    Detection would give. This is the one-head case of decode_heads, the
+    decode the CLI runs.
     """
     if len(anchors) != ANCHORS_PER_SCALE:
         raise ShapeMismatch(f"expected {ANCHORS_PER_SCALE} anchors, got {len(anchors)}")
@@ -227,38 +228,46 @@ def decode_head(
         raise ValueError("objectness_threshold must be in [0, 1]")
     k = tensor.num_classes
     raw = tensor.values.reshape(ANCHORS_PER_SCALE, 5 + k, tensor.height, tensor.width)
-    anchor_arr = np.array([(a.p_w, a.p_h) for a in anchors], dtype=np.float64)
-    xywh, scores, class_ids = _kernels.decode_grid(
-        np.ascontiguousarray(raw),
-        anchor_arr,
-        float(stride),
-        float(score_threshold),
-        float(objectness_threshold),
-    )
-    score, fault = check_decoded(scores, class_ids, xywh)
+    # score <= objectness, so a cell whose objectness is below either
+    # threshold fails; gate on the raw logit before any sigmoid
+    gate = _kernels.logit_gate(max(score_threshold, objectness_threshold), raw.dtype)
+    anchor_arr = np.array([[(a.p_w, a.p_h) for a in anchors]], dtype=np.float64)
+    dets, _, fault = decode_heads([_kernels.gate_cells(raw, gate)], anchor_arr,
+                                  np.array([stride], dtype=np.float64),
+                                  score_threshold, objectness_threshold)
     if fault:
         raise fault[1]
-    return DetectionArrays(score, class_ids, xywh)
+    return dets
 
 
-def check_decoded(score, class_id, xywh, head=None):
-    """Decoded rows against Detection's rules: the scores clamped to 1,
-    and the first fault, or None when every row keeps the rules.
+def decode_heads(heads, anchors, strides, score_threshold, objectness_threshold):
+    """Decode the gated cells of one or more heads at once.
 
-    ``head`` gives each row's head, in non-decreasing order, when the rows
-    come from more than one. A fault is (head, DegenerateBox) for the first
-    row that breaks a rule; the error counts that row from the first row
-    of its own head.
+    heads: _kernels.gate_cells results, one per head; anchors: (heads, A,
+    2) array, head h's anchors' pixel (width, height) at anchors[h];
+    strides: (heads,) array of each head's pixel stride. A cell is kept as
+    _kernels.decode_cells keeps it.
+
+    Returns (dets, head, fault): the kept rows as a DetectionArrays, in
+    the heads' order and each head's scan order, with the scores clamped
+    to 1; each row's head; and None, or (head, DegenerateBox) for the
+    first row that breaks Detection's rules, counted from the first row of
+    its own head. With a fault, dets is None, as a bad box's corners are
+    not formed, so no overflow warning escapes.
     """
+    cells, ai, yi, xi = map(np.concatenate, zip(*heads))
+    head = np.repeat(np.arange(len(heads)), [len(h[0]) for h in heads])
+    xywh, score, class_id, kept = _kernels.decode_cells(
+        cells, anchors[head, ai], strides[head], xi, yi, score_threshold, objectness_threshold)
+    head = head[kept]
     score = np.minimum(score, 1.0)
-    # the corners of a bad box are not formed, so no overflow warning escapes
     fault = first_fault(detection_rules(score, class_id, xywh))
     if fault:
         row, _, reason = fault
-        h = 0 if head is None else int(head[row])
-        first = 0 if head is None else int(np.searchsorted(head, h))
-        fault = h, DegenerateBox(f"decoded detection {row - first}: {reason}")
-    return score, fault
+        h = int(head[row])
+        row -= int(np.searchsorted(head, h))
+        return None, head, (h, DegenerateBox(f"decoded detection {row}: {reason}"))
+    return DetectionArrays(score, class_id, xywh), head, None
 
 
 def assign_responsible_cells(

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import csv
 import dataclasses
 import glob
@@ -1583,7 +1584,8 @@ def _comparison_json(draw):
             if draw(st.booleans()) and isinstance(node, dict):
                 del node[last]
             else:
-                node[last] = draw(st.sampled_from(_BAD_JSON))
+                # a copy, so no edit writes into _BAD_JSON's shared [] and {}
+                node[last] = copy.deepcopy(draw(st.sampled_from(_BAD_JSON)))
         except (KeyError, IndexError, TypeError):
             pass  # an earlier edit removed the path
     text = json.dumps(root[0])

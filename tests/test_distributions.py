@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 from scipy.special import betainc as sp_betainc
-from scipy.special import gammainc as sp_gammainc
 
 from vceval import distributions
 from vceval.distributions import (
@@ -19,7 +18,6 @@ from vceval.distributions import (
     betainc,
     chi2_sf,
     f_sf,
-    gamma_p,
     normal_cdf,
     normal_ppf,
     normal_sf,
@@ -51,17 +49,9 @@ class TestNormal:
 
 
 class TestGammaChi2:
-    def test_gamma_p_against_scipy(self):
-        for a in (0.5, 1.0, 2.5, 10.0, 40.0):
-            for x in (0.01, 0.5, 1.0, 3.0, 10.0, 80.0):
-                assert gamma_p(a, x) == pytest.approx(sp_gammainc(a, x), rel=1e-11, abs=1e-14)
-
-    def test_gamma_p_edges(self):
-        assert gamma_p(2.0, 0.0) == 0.0
-
     def test_chi2_sf_against_scipy(self):
-        for df in (1, 2, 3, 5, 10, 30):
-            for x in (0.1, 1.0, 2.4, 7.7, 25.0, 60.0):
+        for df in (1, 2, 3, 5, 10, 20, 30, 80):
+            for x in (0.02, 0.1, 1.0, 2.4, 7.7, 25.0, 60.0, 160.0):
                 assert chi2_sf(x, df) == pytest.approx(
                     sps.chi2.sf(x, df), rel=1e-11, abs=1e-14
                 )

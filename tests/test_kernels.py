@@ -14,6 +14,8 @@ import pytest
 
 from oracles import decode_ref, iou_ref, nms_ref
 from vceval import _kernels
+from vceval.errors import DegenerateBox
+from vceval.netops import DEFAULT_ANCHORS, AnchorBox, RawHeadTensor, decode_head, decode_heads
 
 
 def random_xywh(rng, n, extent):
@@ -29,6 +31,31 @@ def to_xyxy(xywh):
 
 def scan_order(scores):
     return np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
+
+
+def head_tensor(raw):
+    """A (A, 5+K, H, W) head as the (C, H, W) RawHeadTensor decode_head reads."""
+    a, c, h, w = raw.shape
+    return RawHeadTensor(raw.reshape(a * c, h, w))
+
+
+def decode_one(raw, anchors, stride, score_threshold, objectness_threshold):
+    """decode_head of a (A, 5+K, H, W) head: (boxes, scores, class_ids)."""
+    dets = decode_head(head_tensor(raw), [AnchorBox(*a) for a in anchors], stride,
+                       score_threshold, objectness_threshold)
+    return dets.xywh, dets.score, dets.class_id
+
+
+def gate_and_decode(raw, anchors, stride, score_threshold, objectness_threshold):
+    """One head through the two decode kernels, without the box rules:
+    gate_cells at the logit gate of both thresholds, then decode_cells.
+    Returns (boxes, scores, class_ids)."""
+    gate = _kernels.logit_gate(max(score_threshold, objectness_threshold), raw.dtype)
+    cells, ai, yi, xi = _kernels.gate_cells(raw, gate)
+    boxes, scores, classes, _ = _kernels.decode_cells(
+        cells, anchors[ai], np.full(ai.shape, stride), xi, yi,
+        score_threshold, objectness_threshold)
+    return boxes, scores, classes
 
 
 def test_iou_matrix_matches_oracle():
@@ -141,11 +168,12 @@ def test_kernels_accept_empty_inputs():
     keep = _kernels.nms_keep(np.zeros((0, 4)), none, none, 0.45)
     assert keep.shape == (0,) and keep.dtype == np.int64
     assert _kernels.iou_matrix(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
-    boxes, scores, classes = _kernels.decode_grid(
-        np.full((3, 6, 2, 2), -5.0), np.ones((3, 2)), 32.0, 0.5, 0.5
+    boxes, scores, classes, kept = _kernels.decode_cells(
+        np.zeros((0, 6)), np.zeros((0, 2)), np.zeros(0), none, none, 0.5, 0.5
     )
     assert boxes.shape == (0, 4) and scores.shape == (0,) and classes.shape == (0,)
     assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
+    assert kept.shape == (0,) and kept.dtype == np.int64
 
 
 @pytest.mark.parametrize("num_classes", [1, 3])
@@ -187,7 +215,7 @@ def test_decode_grid_matches_oracle(score_threshold, objectness_threshold):
             # so 1.0 thresholds keep these cells and class sigmoids tie
             raw[:, 4, 0, 0] = 40.0
             raw[:, 5:, 0, 0] = 40.0 + np.arange(k)
-        boxes, scores, classes = _kernels.decode_grid(
+        boxes, scores, classes = decode_one(
             raw, anchors, 32.0, score_threshold, objectness_threshold
         )
         want = decode_ref(raw, anchors, 32.0, score_threshold, objectness_threshold)
@@ -210,7 +238,7 @@ def test_decode_grid_empty_gate_matches_oracle():
             raw = rng.normal(0.0, 3.0, size=(3, 7, side, side))
             quiet = rng.random(3) < (0.3, 0.6, 1.0)[trial % 3]
             raw[quiet, 4] = -50.0  # objectness far below the gate
-            boxes, scores, classes = _kernels.decode_grid(raw, anchors, 8.0, 0.3, 0.3)
+            boxes, scores, classes = decode_one(raw, anchors, 8.0, 0.3, 0.3)
             want = decode_ref(raw, anchors, 8.0, 0.3, 0.3)
             assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
             assert boxes.shape == (len(want), 4) and scores.shape == classes.shape == (len(want),)
@@ -236,7 +264,7 @@ def test_decode_grid_logit_gate_drops_no_candidate(p):
     raw[0, 5, 0] = 50.0
     obj = _kernels.sigmoid(t)
     for score_threshold, objectness_threshold in ((p, 0.0), (0.0, p)):
-        _, scores, _ = _kernels.decode_grid(
+        _, scores, _ = gate_and_decode(
             raw, np.ones((3, 2)), 8.0, score_threshold, objectness_threshold
         )
         assert scores.tolist() == obj[obj >= p].tolist()
@@ -278,8 +306,8 @@ def test_decode_grid_float32_input_matches_float64():
     raw = rng.normal(0.0, 3.0, size=(3, 7, 5, 5)).astype(np.float32)
     anchors = rng.uniform(5.0, 50.0, size=(3, 2))
     for thresholds in ((0.0, 0.0), (0.3, 0.3), (0.001, 0.5), (1.0, 0.0)):
-        got = _kernels.decode_grid(raw, anchors, 16.0, *thresholds)
-        want = _kernels.decode_grid(raw.astype(np.float64), anchors, 16.0, *thresholds)
+        got = gate_and_decode(raw, anchors, 16.0, *thresholds)
+        want = gate_and_decode(raw.astype(np.float64), anchors, 16.0, *thresholds)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -295,7 +323,41 @@ def test_decode_grid_scan_order_is_anchor_row_col():
     raw[0, 5, 1, 0] = 5.0
     raw[0, 2, 1, 0] = 0.0    # tw = 0 so the decoded width is the raw anchor
     anchors = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
-    boxes, scores, classes = _kernels.decode_grid(raw, anchors, 32.0, 0.5, 0.0)
+    boxes, scores, classes = decode_one(raw, anchors, 32.0, 0.5, 0.0)
     assert len(scores) == 2
     assert scores[0] < scores[1]  # anchor 0 candidate first despite lower score
     assert np.asarray(boxes)[0, 2] == pytest.approx(10.0 * np.exp(0.0))
+
+
+def test_decode_heads_is_the_per_head_decode_concatenated():
+    # three heads of one tile at their own anchors and strides
+    rng = np.random.default_rng(53)
+    anchors = np.array(DEFAULT_ANCHORS).reshape(3, 3, 2)
+    strides = np.array([32.0, 16.0, 8.0])
+    raws = [rng.normal(0.0, 3.0, size=(3, 7, side, side)) for side in (2, 3, 5)]
+
+    def decode_all(score_threshold, objectness_threshold):
+        gate = _kernels.logit_gate(max(score_threshold, objectness_threshold), np.dtype(np.float64))
+        return decode_heads([_kernels.gate_cells(raw, gate) for raw in raws], anchors, strides,
+                            score_threshold, objectness_threshold)
+
+    for thresholds in ((0.0, 0.0), (0.3, 0.3), (0.001, 0.5), (1.0, 0.0)):
+        dets, head, fault = decode_all(*thresholds)
+        parts = [decode_head(head_tensor(raw), [AnchorBox(*a) for a in anc], stride, *thresholds)
+                 for raw, anc, stride in zip(raws, anchors, strides)]
+        assert fault is None
+        assert head.tolist() == [h for h, part in enumerate(parts) for _ in range(len(part))]
+        for name in ("score", "class_id", "xywh", "xyxy"):
+            np.testing.assert_array_equal(getattr(dets, name),
+                                          np.concatenate([getattr(p, name) for p in parts]))
+
+    # a size logit whose width overflows, in the cell (anchor 1, row 0,
+    # col 0) of the last head: row 25 of that head's 75, after the 12 + 27
+    # rows of the heads before it
+    raws[2][1, 2, 0, 0] = 1000.0
+    dets, head, fault = decode_all(0.0, 0.0)
+    assert dets is None and head.tolist() == [0] * 12 + [1] * 27 + [2] * 75
+    assert fault[0] == 2 and isinstance(fault[1], DegenerateBox)
+    assert str(fault[1]) == "decoded detection 25: x_min must be finite"
+    with pytest.raises(DegenerateBox, match="^decoded detection 25: x_min must be finite$"):
+        decode_head(head_tensor(raws[2]), [AnchorBox(*a) for a in anchors[2]], 8, 0.0, 0.0)
