@@ -1,6 +1,8 @@
-"""The hot kernels in numpy: pairwise IoU, greedy NMS and head decode (the
-logit gate of gate_cells, then decode_cells over the gated cells of one or
-more heads, which netops.decode_heads runs), plus the package's one sigmoid.
+"""The hot kernels in numpy: pairwise IoU (iou_pairs, which NMS and matching
+both use), greedy NMS and head decode (the logit gate of gate_cells, then
+decode_cells over the gated cells of one or more heads, which
+netops.decode_heads runs), plus the package's one sigmoid and pair_key, the
+(group, value) search key of NMS and matching.
 
 The package calls these kernels through this module (``_kernels.nms_keep(...)``)
 instead of binding the names at import, so a profiler that replaces one of
@@ -92,8 +94,8 @@ def iou_of(inter, area_a, area_b):
 
 def iou_pairs(a, b):
     """IoU of corner-format boxes row by row: a and b are (..., 4) float64
-    arrays of rows (x1, y1, x2, y2) that broadcast against each other.
-    iou_matrix is its outer form, so the two give the same values."""
+    arrays of rows (x1, y1, x2, y2) that broadcast against each other, so
+    ``iou_pairs(a[:, None], b[None, :])`` is the (N, M) matrix of two sets."""
     ix1 = np.maximum(a[..., 0], b[..., 0])
     iy1 = np.maximum(a[..., 1], b[..., 1])
     ix2 = np.minimum(a[..., 2], b[..., 2])
@@ -104,14 +106,15 @@ def iou_pairs(a, b):
     return iou_of(inter, area_a, area_b)
 
 
-def iou_matrix(a, b):
-    """Pairwise IoU of two corner-format box sets.
-
-    a: (N, 4), b: (M, 4) float64 rows (x1, y1, x2, y2). Returns (N, M).
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    return iou_pairs(a[:, None], b[None, :])
+def pair_key(group, value):
+    """(group, value) pairs, two arrays of one shape, as one complex array:
+    complex numbers order lexicographically, so np.searchsorted over it
+    orders by group, then value. The parts are set directly, as
+    ``group + 1j * value`` would make an infinite value NaN + inf j."""
+    key = np.empty(np.shape(value), dtype=np.complex128)
+    key.real = group
+    key.imag = value
+    return key
 
 
 def nms_keep(boxes, classes, order, iou_threshold):
@@ -210,11 +213,9 @@ def nms_keep(boxes, classes, order, iou_threshold):
         pad = _SLACK * np.abs(boxes).max()
         lo_x = x1[q_box] - (w_max - t * wide) - pad
         hi_x = x2[q_box] - t * np.maximum(wi, w_min) + pad
-        # complex numbers order lexicographically, so group + 1j * x1 is one
-        # exact (group, x1) key; every coordinate here is finite
-        key_sorted = (np.cumsum(starts) - 1) + 1j * x1[by_key]
-        lo = np.searchsorted(key_sorted, q_group + 1j * lo_x, side="left")
-        hi = np.searchsorted(key_sorted, q_group + 1j * hi_x, side="right")
+        key_sorted = pair_key(np.cumsum(starts) - 1, x1[by_key])
+        lo = np.searchsorted(key_sorted, pair_key(q_group, lo_x), side="left")
+        hi = np.searchsorted(key_sorted, pair_key(q_group, hi_x), side="right")
         y1_sorted, y2_sorted, h_sorted = y1[by_key], y2[by_key], h[by_key]
     else:
         lo, hi = gstart[q_group], np.append(gstart[1:], n)[q_group]
@@ -240,12 +241,7 @@ def nms_keep(boxes, classes, order, iou_threshold):
         j = by_key[at]
         pair = (rank[j] > rank[i]) & alive[j]
         i, j = i[pair], j[pair]
-        ix1 = np.maximum(x1[i], x1[j])
-        iy1 = np.maximum(y1[i], y1[j])
-        ix2 = np.minimum(x2[i], x2[j])
-        iy2 = np.minimum(y2[i], y2[j])
-        inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
-        hit = iou_of(inter, areas[i], areas[j]) >= iou_threshold
+        hit = iou_pairs(boxes[i], boxes[j]) >= iou_threshold
         i, j = i[hit], j[hit]
         if i.size == 0:
             continue

@@ -162,15 +162,6 @@ class DetectionArrays(RecordArrays):
             ).reshape(-1, 4),
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["DetectionArrays"]) -> "DetectionArrays":
-        """The rows of one or more DetectionArrays, in order."""
-        return cls(
-            np.concatenate([p.score for p in parts]),
-            np.concatenate([p.class_id for p in parts]),
-            np.concatenate([p.xywh for p in parts]),
-        )
-
     def take(self, idx: np.ndarray) -> "DetectionArrays":
         """The rows at the integer positions ``idx``, in that order."""
         return DetectionArrays(self.score[idx], self.class_id[idx], self.xywh[idx])
@@ -282,17 +273,6 @@ def clip_to(box: BoundingBox, extent_w: float, extent_h: float) -> Optional[Boun
     if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
         return None
     return BoundingBox(x1, y1, x2 - x1, y2 - y1)
-
-
-def boxes_to_xyxy(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """(N, 4) float64 corner array for the kernels."""
-    xywh = np.array([(b.x_min, b.y_min, b.width, b.height) for b in boxes], dtype=np.float64)
-    return _corners(xywh.reshape(-1, 4))
-
-
-def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU of two box sequences, shape (len(a), len(b))."""
-    return _kernels.iou_matrix(boxes_to_xyxy(a), boxes_to_xyxy(b))
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> Sequence[Detection]:

@@ -199,9 +199,9 @@ def _match_batch(
 
     A block is the detections or ground truths of one (image, class). One
     lexsort puts the detections in claiming order, block by block; the
-    IoU of every same-block (detection, ground truth) pair comes from
-    _kernels.iou_pairs, the values iou_matrix gives; the greedy pass then
-    visits only the pairs that clear the threshold.
+    IoU of every same-block (detection, ground truth) pair whose x extents
+    can meet comes from _kernels.iou_pairs; the greedy pass then visits
+    only the pairs that clear the threshold.
     """
     det_sizes = [len(d) for d in dets]
     det_image = np.repeat(np.arange(len(dets)), det_sizes)
@@ -234,12 +234,16 @@ def _match_batch(
     # ground truths block by block, each block by x1: a detection's pairs
     # are the run of its block that its x extent can meet, from lo, the
     # first whose x2 or an earlier one's passes its x1, up to hi, the first
-    # whose x1 is not below its x2; the others have no intersection
+    # whose x1 is not below its x2; the others have no intersection. Both
+    # (key, x) columns are sorted: a running maximum never falls.
     gt_order = np.lexsort((gt_xyxy[:, 0], gt_key))
     gt_keys, gt_sorted = gt_key[gt_order], gt_xyxy[gt_order]
     xyxy = det_xyxy[order]
-    lo = _count_before(gt_keys, _run_max(gt_keys, gt_sorted[:, 2]), key, xyxy[:, 0], ties=True)
-    count = np.maximum(_count_before(gt_keys, gt_sorted[:, 0], key, xyxy[:, 2], ties=False) - lo, 0)
+    lo = np.searchsorted(_kernels.pair_key(gt_keys, _run_max(gt_keys, gt_sorted[:, 2])),
+                         _kernels.pair_key(key, xyxy[:, 0]), side="right")
+    hi = np.searchsorted(_kernels.pair_key(gt_keys, gt_sorted[:, 0]),
+                         _kernels.pair_key(key, xyxy[:, 2]), side="left")
+    count = np.maximum(hi - lo, 0)
     rank = np.repeat(np.arange(n), count)
     col = np.arange(len(rank)) + np.repeat(lo - (np.cumsum(count) - count), count)
     ious = _kernels.iou_pairs(xyxy[rank], gt_sorted[col])
@@ -258,23 +262,6 @@ def _match_batch(
     is_tp = np.zeros(n, dtype=bool)
     is_tp[tp] = True
     return det_image[order] + first, index[order], det_class[order], score[order], is_tp
-
-
-def _count_before(keys_a: np.ndarray, values_a: np.ndarray, keys_b: np.ndarray,
-                  values_b: np.ndarray, ties: bool) -> np.ndarray:
-    """For each (key, value) of b, how many entries of a, which is sorted
-    by key then value, come before it: those of a smaller key, and those of
-    its key with a smaller value, or an equal one when ``ties``."""
-    n = len(keys_a)
-    is_b = np.arange(n + len(keys_b)) >= n
-    # on equal (key, value) an entry of a sorts first when ties
-    order = np.lexsort((is_b if ties else ~is_b, np.concatenate((values_a, values_b)),
-                        np.concatenate((keys_a, keys_b))))
-    seen = np.cumsum(~is_b[order])
-    out = np.empty(len(keys_b), dtype=np.int64)
-    b_at = is_b[order]
-    out[order[b_at] - n] = seen[b_at]
-    return out
 
 
 def _run_max(keys: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -3,18 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from vceval import _kernels
 from vceval.boxes import (
     BoundingBox,
     Detection,
     DetectionArrays,
     GroundTruthBox,
     LabelArrays,
-    boxes_to_xyxy,
     clip_to,
     detection_rules,
     first_fault,
     iou,
-    iou_matrix,
     nms,
 )
 
@@ -188,22 +187,13 @@ class TestClipTo:
 
 
 class TestArrayHelpers:
-    def test_boxes_to_xyxy(self):
-        boxes = [BoundingBox(0.0, 0.0, 10.0, 20.0), BoundingBox(5.0, 5.0, 1.0, 2.0)]
-        arr = boxes_to_xyxy(boxes)
-        assert arr.dtype == np.float64
-        assert arr.shape == (2, 4)
-        np.testing.assert_allclose(arr[0], [0.0, 0.0, 10.0, 20.0])
-        np.testing.assert_allclose(arr[1], [5.0, 5.0, 6.0, 7.0])
-
-    def test_boxes_to_xyxy_empty(self):
-        assert boxes_to_xyxy([]).shape == (0, 4)
-
     def test_iou_matrix_matches_scalar(self):
         rng = random.Random(31)
         rows = [random_box(rng) for _ in range(13)]
         cols = [random_box(rng) for _ in range(9)]
-        mat = iou_matrix(rows, cols)
+        corners = [np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes])
+                   for boxes in (rows, cols)]
+        mat = _kernels.iou_pairs(corners[0][:, None], corners[1][None, :])
         assert mat.shape == (13, 9)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
@@ -222,27 +212,19 @@ class TestArrayHelpers:
         with pytest.raises(IndexError):
             cols[2]
 
-    def test_detection_arrays_concat_and_take(self):
-        a = DetectionArrays.of([Detection(BoundingBox(0.0, 1.0, 2.0, 3.0), 1, 0.5)])
-        b = DetectionArrays.of([
+    def test_detection_arrays_take(self):
+        dets = DetectionArrays.of([
+            Detection(BoundingBox(0.0, 1.0, 2.0, 3.0), 1, 0.5),
             Detection(BoundingBox(-1.5, 0.25, 1.0, 0.5), 0, 1.0),
             Detection(BoundingBox(4.0, 4.0, 8.0, 8.0), 2, 0.125),
         ])
-        empty = DetectionArrays.of([])
-        both = DetectionArrays.concat([a, empty, b])
-        assert both == list(a) + list(b)
-        assert both.class_id.dtype == np.int64 and both.score.dtype == np.float64
-        assert both.xyxy.tolist() == [[0.0, 1.0, 2.0, 4.0], [-1.5, 0.25, -0.5, 0.75],
+        assert dets.class_id.dtype == np.int64 and dets.score.dtype == np.float64
+        assert dets.xyxy.tolist() == [[0.0, 1.0, 2.0, 4.0], [-1.5, 0.25, -0.5, 0.75],
                                       [4.0, 4.0, 12.0, 12.0]]
-        picked = both.take(np.array([2, 0]))
-        assert picked == [both[2], both[0]]
-        assert picked.xyxy.tolist() == [both.xyxy[2].tolist(), both.xyxy[0].tolist()]
-        assert len(both.take(np.zeros(0, dtype=np.int64))) == 0
-
-    def test_iou_matrix_empty_sides(self):
-        box = [BoundingBox(0.0, 0.0, 1.0, 1.0)]
-        assert iou_matrix([], box).shape == (0, 1)
-        assert iou_matrix(box, []).shape == (1, 0)
+        picked = dets.take(np.array([2, 0]))
+        assert picked == [dets[2], dets[0]]
+        assert picked.xyxy.tolist() == [dets.xyxy[2].tolist(), dets.xyxy[0].tolist()]
+        assert len(dets.take(np.zeros(0, dtype=np.int64))) == 0
 
 
 class TestNMS:

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vceval import _kernels, cli
-from vceval.boxes import DetectionArrays, nms
+from vceval.boxes import nms
 from vceval.config import HarnessConfig
 from vceval.dataio import (
     parse_detection_file,
@@ -516,7 +516,7 @@ class TestDecode:
                 for suffix, anchors, stride in zip(cli.SCALE_SUFFIXES, anchor_sets, (32, 16, 8))
             ]
             want = write_detection_file(
-                nms(DetectionArrays.concat(parts), config.nms_iou_threshold))
+                nms([d for p in parts for d in p], config.nms_iou_threshold))
             assert (out / f"{stem}.det.txt").read_text() == want, stem
         twin = (out / "twin_a.det.txt").read_text()
         assert twin and twin == (out / "twin_b.det.txt").read_text()
@@ -634,7 +634,7 @@ def _reference_decode(tensors, stems, score, objectness):
             except DegenerateBox as exc:
                 return texts, f"{path}: {exc}"
         texts[stem] = write_detection_file(
-            nms(DetectionArrays.concat(parts), config.nms_iou_threshold))
+            nms([d for p in parts for d in p], config.nms_iou_threshold))
     return texts, None
 
 

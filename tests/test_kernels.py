@@ -63,7 +63,7 @@ def test_iou_matrix_matches_oracle():
     for _ in range(60):
         a = random_xywh(rng, int(rng.integers(0, 25)), 40)
         b = random_xywh(rng, int(rng.integers(0, 25)), 40)
-        got = _kernels.iou_matrix(to_xyxy(a), to_xyxy(b))
+        got = _kernels.iou_pairs(to_xyxy(a)[:, None], to_xyxy(b)[None, :])
         want = np.array([[iou_ref(p, q) for q in b] for p in a]).reshape(len(a), len(b))
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -74,7 +74,7 @@ def test_iou_matrix_union_past_the_float_range():
     box = np.array([[0.0, 0.0, 1e154, 1.5e154]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _kernels.iou_matrix(box, box).tolist() == [[1.0]]
+        assert _kernels.iou_pairs(box[:, None], box[None, :]).tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
@@ -167,7 +167,9 @@ def test_kernels_accept_empty_inputs():
     none = np.zeros(0, dtype=np.int64)
     keep = _kernels.nms_keep(np.zeros((0, 4)), none, none, 0.45)
     assert keep.shape == (0,) and keep.dtype == np.int64
-    assert _kernels.iou_matrix(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
+    for a, b in [(np.zeros((0, 4)), np.ones((3, 4))), (np.zeros((0, 4)), np.ones((1, 4))),
+                 (np.ones((1, 4)), np.zeros((0, 4)))]:
+        assert _kernels.iou_pairs(a[:, None], b[None, :]).shape == (len(a), len(b))
     boxes, scores, classes, kept = _kernels.decode_cells(
         np.zeros((0, 6)), np.zeros((0, 2)), np.zeros(0), none, none, 0.5, 0.5
     )

@@ -105,6 +105,16 @@ class TestMatching:
         flags_rev, _ = match_detections(dict(reversed(d.items())), g, 0.30)
         assert flags_fwd == flags_rev
 
+    def test_infinite_right_corner(self):
+        # the first line passes every row rule, but x_min + width, its right
+        # corner, is inf; a search key built as class + 1j * x would be
+        # NaN + inf j there, and the multiply would warn
+        dets = parse_detection_file("0 0.9 1e308 0 1e308 1\n0 0.8 0 0 10 10\n")
+        assert dets.xyxy[0, 2] == np.inf
+        flags, counts = match_detections({"img": dets}, {"img": [gt(0, 0, 10, 10)]}, 0.30)
+        assert [(f.index, f.is_tp) for f in flags] == [(0, False), (1, True)]
+        assert counts[0] == MatchCounts(tp=1, fp=1, fn=0)
+
 
 class TestPointMetrics:
     def test_precision_recall_basic(self):
