@@ -199,6 +199,12 @@ class TestArrayHelpers:
             for j, b in enumerate(cols):
                 assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
+    def test_iou_matrix_empty_sides(self):
+        box = np.array([[0.0, 0.0, 1.0, 1.0]])
+        none = np.zeros((0, 4))
+        assert _kernels.iou_pairs(none[:, None], box[None, :]).shape == (0, 1)
+        assert _kernels.iou_pairs(box[:, None], none[None, :]).shape == (1, 0)
+
     def test_label_arrays_read_as_ground_truths(self):
         gts = [GroundTruthBox(BoundingBox(0.0, 1.0, 2.0, 3.0), 1),
                GroundTruthBox(BoundingBox(-1.5, 0.25, 1.0, 0.5), 2**63 - 1)]
