@@ -125,8 +125,8 @@ def parse_detections_ref(content):
     Returns (class_id, score, x_min, y_min, width, height) tuples and raises
     the format errors of the first bad line: field count, non-numeric field
     and negative class (MalformedLine), score outside [0, 1]
-    (ScoreOutOfRange), a side <= 0, a non-finite box field or a non-finite
-    area (OutOfRange).
+    (ScoreOutOfRange), a side <= 0, a non-finite box field, a non-finite
+    area or a non-finite corner (OutOfRange).
     """
     from vceval.errors import MalformedLine, OutOfRange, ScoreOutOfRange
 
@@ -154,6 +154,10 @@ def parse_detections_ref(content):
                 raise OutOfRange(line_no, f"{name} must be finite")
         if not math.isfinite(width * height):
             raise OutOfRange(line_no, "box area must be finite")
+        if not math.isfinite(x_min + width):
+            raise OutOfRange(line_no, "x_min + width must be finite")
+        if not math.isfinite(y_min + height):
+            raise OutOfRange(line_no, "y_min + height must be finite")
         out.append((class_id, score, x_min, y_min, width, height))
     return out
 

@@ -1767,6 +1767,16 @@ class TestErrorsNameFileAndLine:
         assert rc == 2
         assert f"{dets / 't1.det.txt'}: line 3: box area must be finite" in err
 
+    def test_detection_corner_past_the_float_range_in_eval(self, tmp_path, capsys):
+        labels, dets = TestEval().setup_run(tmp_path)
+        dets.joinpath("t1.det.txt").write_text(
+            det_line(0, 0.9, 83.2, 83.2, 41.6, 41.6) + "\n0 0.9 1e308 0 1e308 1\n")
+        rc, err = self.run(capsys, ["eval", "--detections-dir", str(dets), "--labels-dir",
+                                    str(labels), "--out-dir", str(tmp_path / "o"),
+                                    "--run-id", "r1"])
+        assert rc == 2
+        assert f"{dets / 't1.det.txt'}: line 3: x_min + width must be finite" in err
+
     def test_comparison_number_past_the_float_range(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         write_observations(obs, {"320": [0.5, 0.7], "416": [0.8, 0.9]})

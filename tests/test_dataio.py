@@ -1,5 +1,7 @@
 import random
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +70,17 @@ class TestLabelFormat:
         with pytest.raises(MalformedLine) as exc:
             parse_label_file("0 0.5 0.5 0.2 0.2\n0 x 0.5 0.2 0.2\n", 100, 100)
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0 0.9 1e308 0 1e308 1", "x_min + width must be finite"),
+        ("0 0.9 0 1e308 1 1e308", "y_min + height must be finite"),
+    ])
+    def test_a_corner_past_the_float_range_is_refused(self, line, reason):
+        # every field, the sides and the area are finite; the corner is not
+        text = "0 0.5 1 1 5 5\n" + line + "\n"
+        for parse in (parse_detection_file, parse_detections_ref):
+            with pytest.raises(OutOfRange, match=f"^line 2: {re.escape(reason)}$"):
+                parse(text)
 
     def test_class_id_beyond_64_bits_is_malformed(self):
         with pytest.raises(MalformedLine, match="line 2: class id .* does not fit in 64 bits"):
@@ -472,6 +485,77 @@ class TestDetectionParserAgainstOracle:
         assert len(parse_detection_file("")) == 0 and parse_detection_file("# x\n") == []
         with pytest.raises(IndexError):
             dets[2]
+
+
+# --- numpy's reader against the exact conversion ---------------------------
+
+# numpy refuses 1_0, Arabic-Indic digits and the class id 2^63, which
+# Python accepts; both refuse 0x10, 1e3 or 1.0 as a class id, and True
+_CONVERT_CLASSES = ["0", "1", "7", "+2", "-0", str(2**63 - 1)] * 3 + ["-1", "-5"]
+_CONVERT_VALUES = ["0", "0.5", "10.5", "-3", "-0.0", ".5", "5.", "+.5e-3", "1e-400", "1e308",
+                   "1e309", "1e99999", "-1e99999", "nan", "-nan", "NaN", "inf", "-Infinity"]
+_CONVERT_ODD = ["1_0", "\u0661\u0662", str(2**63), "0x10", "1e3", "1.0", "True", "abc", "\x00"]
+_CONVERT_SEPARATORS = [" ", "  ", "\t", "\x1f", " \t"]
+# the line breaks of str.splitlines that are ASCII
+_CONVERT_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_CONVERT_OTHER_LINES = ["", " ", "\t", "\x1f", " \x1f\t", "# comment", "  #0 0.5 1 1 5 5", "#"]
+
+
+@st.composite
+def _convert_text(draw, n):
+    """A text of rows of n fields, now and then one field more or fewer, an
+    odd spelling, a whitespace-only or comment line, or an odd line break."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(_CONVERT_OTHER_LINES)))
+            continue
+        count = draw(st.sampled_from([n] * 12 + [n - 1, n + 1]))
+        tokens = [draw(st.sampled_from(_CONVERT_CLASSES if k == 0 else _CONVERT_VALUES))
+                  for k in range(count)]
+        if draw(st.integers(0, 11)) == 0:
+            tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(_CONVERT_ODD))
+        sep = draw(st.sampled_from(_CONVERT_SEPARATORS))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens)
+                     + draw(st.sampled_from(["", " ", "\x1f"])))
+    breaks = [draw(st.sampled_from(_CONVERT_BREAKS[:1] * 6 + _CONVERT_BREAKS)) for _ in lines]
+    return "".join(line + b for line, b in zip(lines, breaks))[: None if draw(st.booleans()) else -1]
+
+
+def _convert_slowly(texts, n):
+    """_convert_texts with numpy's reader declining every text."""
+    with mock.patch.object(dataio, "_loadtxt", return_value=None):
+        return dataio._convert_texts(texts, n)
+
+
+class TestTextConversion:
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([5, 6]))
+    def test_numpy_reader_gives_the_exact_columns_starts_and_fault(self, data, n):
+        texts = data.draw(st.lists(_convert_text(n), min_size=1, max_size=3))
+        got, want = dataio._convert_texts(texts, n), _convert_slowly(texts, n)
+        for a, b in zip(got[:2], want[:2]):
+            # bitwise: tells -0.0 from 0.0 and keeps the sign of a nan
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("text", [
+        "0 0.5 1 1 5 5\n", "3 0.25 -0.0 1e-400 1e308 nan", "0\t1 1 1 5 5\r\n\n \n1 1 1 1 5 5\n",
+        "0\x1f1 1 1 5 5\x0b1 1 1 1 5 5\x1e",
+    ])
+    def test_numpy_reads_plain_texts(self, text):
+        assert len(dataio._loadtxt(text, 6)) == len(dataio._split_rows(text))
+
+    @pytest.mark.parametrize("text", [
+        "", " \n\t\n", "\x1f", "0 0.5 1 1 5 5\n# comment\n", "0 0.5 1 1 5 5 #\n",
+        "\u0661 0.5 1 1 5 5\n", "0 0.5 1 1 5 5\n-1 0.5 1 1 5 5\n", "1_0 0.5 1 1 5 5\n",
+        f"{2**63} 0.5 1 1 5 5\n", "1.0 0.5 1 1 5 5\n", "0 0.5 1 1 5\n",
+    ])
+    def test_numpy_declines_without_a_warning(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dataio._loadtxt(text, 6) is None
+        assert caught == []
 
 
 # --- columnar detection writer against the per-object oracle ---------------

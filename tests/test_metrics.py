@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vceval import _kernels
-from vceval.boxes import BoundingBox, Detection, GroundTruthBox, LabelArrays
+from vceval.boxes import BoundingBox, Detection, DetectionArrays, GroundTruthBox, LabelArrays
 from vceval.errors import EmptyClassSet, NoGroundTruth
 from vceval.metrics import (
     DetectionFlag,
@@ -106,10 +106,12 @@ class TestMatching:
         assert flags_fwd == flags_rev
 
     def test_infinite_right_corner(self):
-        # the first line passes every row rule, but x_min + width, its right
-        # corner, is inf; a search key built as class + 1j * x would be
-        # NaN + inf j there, and the multiply would warn
-        dets = parse_detection_file("0 0.9 1e308 0 1e308 1\n0 0.8 0 0 10 10\n")
+        # the first row passes BoundingBox's checks, but x_min + width, its
+        # right corner, is inf; a search key built as class + 1j * x would
+        # be NaN + inf j there, and the multiply would warn (the detection
+        # parser refuses such a row; built columns are matched as they stand)
+        dets = DetectionArrays(np.array([0.9, 0.8]), np.array([0, 0]),
+                               np.array([[1e308, 0.0, 1e308, 1.0], [0.0, 0.0, 10.0, 10.0]]))
         assert dets.xyxy[0, 2] == np.inf
         flags, counts = match_detections({"img": dets}, {"img": [gt(0, 0, 10, 10)]}, 0.30)
         assert [(f.index, f.is_tp) for f in flags] == [(0, False), (1, True)]
