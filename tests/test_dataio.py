@@ -519,7 +519,8 @@ def _convert_text(draw, n):
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens)
                      + draw(st.sampled_from(["", " ", "\x1f"])))
     breaks = [draw(st.sampled_from(_CONVERT_BREAKS[:1] * 6 + _CONVERT_BREAKS)) for _ in lines]
-    return "".join(line + b for line, b in zip(lines, breaks))[: None if draw(st.booleans()) else -1]
+    text = "".join(line + b for line, b in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[:-1]  # or cut inside the last line or break
 
 
 def _convert_slowly(texts, n):
