@@ -21,7 +21,9 @@ from . import _kernels
 @dataclass(frozen=True)
 class BoundingBox:
     """Corner + size box. Width and height are strictly positive, and
-    every field and the area are finite."""
+    every field, the area and the far corner (x_min + width, y_min +
+    height) are finite: box_rules holds, and its first broken rule is the
+    ValueError's reason."""
 
     x_min: float
     y_min: float
@@ -30,15 +32,12 @@ class BoundingBox:
 
     def __post_init__(self):
         w, h = self.width, self.height
-        # with sides > 0, a finite area implies finite sides
-        if w > 0 and h > 0 and isfinite(w * h) and isfinite(self.x_min) and isfinite(self.y_min):
-            return
-        for name in ("x_min", "y_min", "width", "height"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if w <= 0 or h <= 0:
-            raise ValueError("width and height must be > 0")
-        raise ValueError("box area must be finite")
+        # box_rules in short: with sides > 0, a finite area implies finite
+        # sides, and with a finite side a finite corner a finite x_min or y_min
+        if not (w > 0 and h > 0 and isfinite(w * h)
+                and isfinite(self.x_min + w) and isfinite(self.y_min + h)):
+            xywh = np.array([[self.x_min, self.y_min, w, h]], dtype=np.float64)
+            raise ValueError(first_fault(box_rules(*xywh.T))[2])
 
     @property
     def x_max(self) -> float:
@@ -127,8 +126,8 @@ class RecordArrays(Sequence):
 
 def _corners(xywh: np.ndarray) -> np.ndarray:
     """(x_min, y_min, x_min + width, y_min + height) rows of (N, 4) xywh
-    rows; a corner past the float range is inf, as BoundingBox.x_max
-    gives it."""
+    rows. BoundingBox and box_rules refuse a corner past the float range,
+    so an infinite corner comes only from arrays built directly."""
     with np.errstate(over="ignore"):
         return np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
 
@@ -208,10 +207,11 @@ class LabelArrays(RecordArrays):
 
 def box_rules(x_min, y_min, width, height, error=ValueError) -> list:
     """BoundingBox's checks over columns, as rules in BoundingBox's order:
-    each field finite, then sides > 0, then the area finite. A rule is a
-    (bad-row mask, error class, reason) triple, as first_fault reads it."""
+    each field finite, then sides > 0, then the area finite, then the far
+    corners x_min + width and y_min + height finite. A rule is a (bad-row
+    mask, error class, reason) triple, as first_fault reads it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        area = width * height
+        area, x_max, y_max = width * height, x_min + width, y_min + height
     return [
         (~np.isfinite(x_min), error, "x_min must be finite"),
         (~np.isfinite(y_min), error, "y_min must be finite"),
@@ -219,6 +219,8 @@ def box_rules(x_min, y_min, width, height, error=ValueError) -> list:
         (~np.isfinite(height), error, "height must be finite"),
         ((width <= 0.0) | (height <= 0.0), error, "width and height must be > 0"),
         (~np.isfinite(area), error, "box area must be finite"),
+        (~np.isfinite(x_max), error, "x_min + width must be finite"),
+        (~np.isfinite(y_max), error, "y_min + height must be finite"),
     ]
 
 

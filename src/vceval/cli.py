@@ -117,6 +117,9 @@ def _class_label(config: HarnessConfig, class_id: int) -> str:
 
 
 def cmd_tile(args: argparse.Namespace, config: HarnessConfig) -> int:
+    # a missing image label file means no annotations, a missing directory a typo
+    if not os.path.isdir(args.labels_dir):
+        raise VCEvalError(f"labels directory {args.labels_dir} is not a directory")
     tile_size = config.input_size
     images = _parse_file(args.manifest, read_image_manifest)
     layouts = []
@@ -518,6 +521,13 @@ def _comma_list(value: str) -> tuple[str, ...]:
     return tuple(n.strip() for n in value.split(",") if n.strip())
 
 
+def _file_name_part(value: str) -> str:
+    """A metric name, part of the comparison files' names: no / or NUL."""
+    if "/" in value or "\0" in value:
+        raise argparse.ArgumentTypeError("must not hold / or NUL")
+    return value
+
+
 def _one_line(value: str) -> str:
     """An observation field: no line break, as csv would not quote a bare CR."""
     if "\n" in value or "\r" in value:
@@ -598,7 +608,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "compare"):
         p = sub.add_parser("compare", help="normality-gated group comparison of a metric")
         p.add_argument("--observations", required=True)
-        p.add_argument("--metric", required=True)
+        p.add_argument("--metric", required=True, type=_file_name_part)
         p.add_argument("--out-dir", required=True)
         _add_overrides(p, "alpha", "normality_scope", "posthoc")
 

@@ -72,8 +72,9 @@ def _in(interval: str) -> tuple:
 
 
 def _is_names(value) -> bool:
+    # a name is a row of the observation file and part of a comparison file's name
     return isinstance(value, (list, tuple)) and len(value) > 0 and all(
-        isinstance(n, str) and n and "\n" not in n and "\r" not in n for n in value)
+        isinstance(n, str) and n and not any(c in n for c in "\n\r/\0") for n in value)
 
 
 def _is_anchors(value) -> bool:
@@ -92,7 +93,7 @@ _RULES = {
     "objectness_threshold": _in("[0, 1]"),
     "nms_iou_threshold": _in("[0, 1]"),
     "eval_iou_threshold": _in("(0, 1]"),
-    "class_names": ("a non-empty list of non-empty one-line strings", _is_names),
+    "class_names": ("a non-empty list of non-empty one-line strings without / or NUL", _is_names),
     "anchors": ("9 [w, h] pairs of finite positive numbers", _is_anchors),
     "min_visibility": _in("(0, 1]"),
     "alpha": _in("(0, 1)"),

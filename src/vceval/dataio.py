@@ -22,7 +22,6 @@ import random
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -99,68 +98,63 @@ class DatasetSplit:
             raise ValueError("train and test sets overlap")
 
 
-def _split_rows(content: str) -> list[list[str]]:
-    """The fields of the lines that are neither blank nor ``#`` comments."""
-    rows = list(filter(None, map(str.split, content.splitlines())))
+def _split_rows(content: str) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each line that is neither blank nor a
+    ``#`` comment, a line whose first field starts with ``#``."""
+    rows = enumerate(map(str.split, content.splitlines()), 1)
     if "#" in content:
-        rows = [p for p in rows if not p[0].startswith("#")]
-    return rows
+        return [(k, p) for k, p in rows if p and not p[0].startswith("#")]
+    return [(k, p) for k, p in rows if p]
 
 
-def _row_fault(row: list[str], n: int) -> Optional[str]:
-    """Why a row of fields does not convert, or None: another field count
-    than n, a field that is not a number, or a class id outside
-    [0, 2^63 - 1]."""
-    if len(row) != n:
-        return f"expected {n} fields, got {len(row)}"
-    try:
-        class_id = int(row[0])
-        list(map(float, row[1:]))
-    except ValueError:
-        return "non-numeric field"
-    if class_id < 0:
-        return f"negative class id {class_id}"
-    if class_id > _INT64_MAX:
-        return f"class id {class_id} does not fit in 64 bits"
-    return None
-
-
-def _columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
-    """The first field of each row as int64 class ids and the other n - 1
-    as float64 columns, for the rows before the first that does not
-    convert (see _row_fault); and that row's fault as (position,
-    MalformedLine, reason), or None when every row converts. Every field is
-    converted once; the rows are scanned one by one only when that fails."""
-    try:
-        if rows and set(map(len, rows)) != {n}:
-            raise ValueError("field count")
-        fields = list(chain.from_iterable(rows))
-        class_id = np.array(list(map(int, fields[0::n])), dtype=np.int64)
-        if (class_id < 0).any():
-            raise ValueError("negative class id")
-        del fields[0::n]
-        values = np.array(list(map(float, fields)), dtype=np.float64).reshape(-1, n - 1)
-        return class_id, values, None
-    except (ValueError, OverflowError):
-        k, reason = next((k, r) for k, r in enumerate(_row_fault(row, n) for row in rows) if r)
-        class_id, values, _ = _columns(rows[:k], n)
-        return class_id, values, (k, MalformedLine, reason)
+def _columns(rows: list[tuple[int, list[str]]],
+             n: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
+    """Class ids (int64) from the first field of _split_rows' rows and
+    float64 columns from the other n - 1, for the rows before the first
+    that does not convert, and that row's fault as (position,
+    MalformedLine, reason) or None. A row does not convert on another field
+    count than n, a non-numeric field, or a class id outside
+    [0, 2^63 - 1], checked in that order. One pass; each field converts once."""
+    class_ids, values, reason = [], [], None
+    for _, fields in rows:
+        if len(fields) != n:
+            reason = f"expected {n} fields, got {len(fields)}"
+            break
+        try:
+            class_id = int(fields[0])
+            values.extend(map(float, fields[1:]))
+        except ValueError:
+            reason = "non-numeric field"
+            break
+        if not 0 <= class_id <= _INT64_MAX:
+            reason = (f"negative class id {class_id}" if class_id < 0
+                      else f"class id {class_id} does not fit in 64 bits")
+            break
+        class_ids.append(class_id)
+    # a row that fails part-way may leave some of its values
+    del values[len(class_ids) * (n - 1):]
+    return (np.array(class_ids, dtype=np.int64),
+            np.array(values, dtype=np.float64).reshape(-1, n - 1),
+            (len(class_ids), MalformedLine, reason) if reason else None)
 
 
 def _loadtxt(text: str, n: int) -> Optional[np.ndarray]:
     """The rows of ``text`` read by numpy's C parser as records of a class
-    id ``c`` (int64) and n - 1 values ``v`` (float64), or None where that
-    read could differ from _columns over _split_rows or could warn: an
-    empty or whitespace-only text (numpy warns "input contained no data"),
-    a non-ASCII text, a text holding a ``#``, a text numpy refuses, and a
-    negative class id. numpy refuses every spelling that _columns refuses,
-    and some that it accepts (``1_0``, non-ASCII digits, the class id
-    2^63); the caller converts those texts with _columns. The lines are
-    broken by str.splitlines, as _split_rows breaks them."""
-    if not text.isascii() or "#" in text or not text or text.isspace():
+    id ``c`` (int64) and n - 1 values ``v`` (float64), or None where they
+    could differ from _columns' or numpy could warn: a non-ASCII text, one
+    without a data line (numpy warns), one numpy refuses, and a negative
+    class id. numpy refuses every row _columns refuses, and some it
+    converts (``1_0``, non-ASCII digits, the class id 2^63). numpy reads
+    the lines of str.splitlines, as _split_rows does, less its comment
+    lines, so a ``#`` inside a data row makes numpy refuse the text; a
+    text without ``#`` is not searched for comments."""
+    lines = text.splitlines()
+    if "#" in text or text.isspace() or not text:
+        lines = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+    if not lines or not text.isascii():
         return None
     try:
-        table = np.loadtxt(text.splitlines(), dtype=[("c", "i8"), ("v", "f8", (n - 1,))],
+        table = np.loadtxt(lines, dtype=[("c", "i8"), ("v", "f8", (n - 1,))],
                            comments=None, ndmin=1)
     except Exception:  # _columns finds the row and the reason
         return None
@@ -172,13 +166,12 @@ def _convert_texts(texts: Sequence[str], n: int) -> tuple[np.ndarray, np.ndarray
     text's rows start. Conversion stops at the first text with a row that
     does not convert; the starts then end with that text's.
 
-    Each text is read by numpy's C parser (_loadtxt) when that gives the
-    columns _columns would give: 2.3 times as fast on the texts of a
-    dense-lowscore eval, faster from about four lines, and about 2 us
-    slower on a one-line text; any other text is split and converted by
-    _split_rows and _columns, which also name the first row that does not
-    convert and why. So the columns, the row starts and the fault are
-    those of _columns whichever path reads a text.
+    Each text that numpy's C parser reads (_loadtxt) takes that path:
+    about 15 ms for the 40 seed-4 dense-lowscore detection texts (37,455
+    rows), 19 ms with a ``#`` header line on each. _split_rows and
+    _columns read the others and name their first row that does not
+    convert and why: about 50 ms for those 40 texts. So the columns, the
+    row starts and the fault are _columns' whichever path reads a text.
 
     The texts are read one at a time, so that only one text's lines or
     fields are held as strings at once: the small-object heap keeps the
@@ -211,9 +204,7 @@ def _text_fault(texts: Sequence[str], starts: list[int], fault) -> tuple[int, Fo
     class with the line number of that row in its text."""
     row, error, reason = fault
     k = bisect.bisect_right(starts, row) - 1
-    parts = map(str.split, texts[k].splitlines())
-    line_nos = [n for n, p in enumerate(parts, 1) if p and not p[0].startswith("#")]
-    return k, error(line_nos[row - starts[k]], reason)
+    return k, error(_split_rows(texts[k])[row - starts[k]][0], reason)
 
 
 def parse_label_texts(
@@ -304,16 +295,10 @@ def parse_detection_texts(
     """
     class_id, values, starts, unconverted = _convert_texts(texts, 6)
     score, xywh = values[:, 0].copy(), values[:, 1:].copy()
-    x_min, y_min, width, height = xywh.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_max, y_max = x_min + width, y_min + height
     fault = first_fault([
         (~((score >= 0.0) & (score <= 1.0)), ScoreOutOfRange, lambda i: float(score[i])),
-        ((width <= 0.0) | (height <= 0.0), OutOfRange, "box sides must be > 0"),
-        *box_rules(x_min, y_min, width, height, OutOfRange),
-        # the matcher cannot score the overlap of a box with an infinite corner
-        (~np.isfinite(x_max), OutOfRange, "x_min + width must be finite"),
-        (~np.isfinite(y_max), OutOfRange, "y_min + height must be finite"),
+        ((xywh[:, 2:] <= 0.0).any(axis=1), OutOfRange, "box sides must be > 0"),
+        *box_rules(*xywh.T, OutOfRange),
     ]) or unconverted
     fault = fault and _text_fault(texts, starts, fault)
     starts = starts[: fault[0] + 1 if fault else None]
@@ -327,9 +312,9 @@ def parse_detection_file(content: str) -> DetectionArrays:
     A file that breaks any rule raises the error of its first bad line. A
     line is checked in this order: field count, non-numeric field, class
     id outside [0, 2^63 - 1] (MalformedLine); score in [0, 1]
-    (ScoreOutOfRange); sides > 0, then BoundingBox's checks, then the
-    corners x_min + width and y_min + height finite (OutOfRange). The
-    one-text case of parse_detection_texts.
+    (ScoreOutOfRange); sides > 0, then BoundingBox's checks, the last of
+    them the corners x_min + width and y_min + height finite (OutOfRange).
+    The one-text case of parse_detection_texts.
     """
     dets, fault = parse_detection_texts([content])
     if fault:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vceval.boxes import (
     DetectionArrays,
     GroundTruthBox,
     LabelArrays,
+    box_rules,
     clip_to,
     detection_rules,
     first_fault,
@@ -91,7 +93,7 @@ class TestDetectionRules:
         for row in _EDGE_ROWS:
             want = _detection_error(row)
             assert _first_fault([row]) == (None if want is None else (0, ValueError, want))
-        assert sum(_first_fault([row]) is None for row in _EDGE_ROWS) == 6
+        assert sum(_first_fault([row]) is None for row in _EDGE_ROWS) == 5
 
     def test_first_bad_row_of_many(self):
         assert _first_fault([]) is None
@@ -117,6 +119,48 @@ class TestDetectionAndGroundTruth:
         assert GroundTruthBox(box=box, class_id=3).class_id == 3
         with pytest.raises(ValueError):
             GroundTruthBox(box=box, class_id=-2)
+
+
+# boxes of finite fields near the float range, each with the first rule of
+# box_rules it breaks (None: none); the second and fifth break a corner too
+_FAR_BOXES = [
+    ((1e308, 0.0, 1e308, 1.0), "x_min + width must be finite"),
+    ((0.0, -1e308, 1.0, -1e308), "width and height must be > 0"),
+    ((0.0, 1e308, 1.0, 1e308), "y_min + height must be finite"),
+    ((1e308, 1e308, 1e308, 1e-300), "x_min + width must be finite"),
+    ((1e308, 0.0, 1e308, 1e308), "box area must be finite"),
+    ((-1e308, 0.0, 1.7e308, 1.0), None),
+]
+
+
+class TestNearTheFloatRange:
+    @pytest.mark.parametrize("xywh, reason", _FAR_BOXES)
+    def test_objects_refuse_an_overflowing_corner_in_box_rules_order(self, xywh, reason):
+        fault = first_fault(box_rules(*np.array([xywh]).T))
+        assert fault == (None if reason is None else (0, ValueError, reason))
+        labels = LabelArrays(np.array([0]), np.array([xywh]))
+        dets = DetectionArrays(np.array([0.5]), np.array([0]), np.array([xywh]))
+        builds = [lambda: BoundingBox(*xywh), lambda: labels[0], lambda: dets[0]]
+        if reason is None:
+            for build in builds:
+                build()
+            return
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+                build()
+
+    def test_the_farthest_boxes_give_exact_answers(self):
+        # sides and corners are sums of powers of two, so every step is exact
+        b = BoundingBox(2.0**1023, 0.0, 2.0**1022, 1.0)
+        c = BoundingBox(-(2.0**1023), 0.0, 1.5 * 2.0**1023, 1.0)
+        assert (b.x_max, c.x_max) == (1.5 * 2.0**1023, 2.0**1022)
+        assert iou(b, b) == 1.0 and iou(b, c) == 0.0
+        assert clip_to(b, 1.75 * 2.0**1023, 1.0) == b
+        assert clip_to(b, 2.0**1023, 1.0) is None
+        assert clip_to(c, 4.0, 1.0) == BoundingBox(0.0, 0.0, 4.0, 1.0)
+        dets = [Detection(b, 0, 0.9), Detection(b, 0, 0.8), Detection(c, 0, 0.7)]
+        assert nms(dets, 0.45) == [dets[0], dets[2]]
+        assert nms(DetectionArrays.of(dets), 0.45) == [dets[0], dets[2]]
 
 
 class TestIoU:

@@ -128,6 +128,27 @@ class TestTile:
         assert (tmp_path / "tiles" / "img_r0_c0.txt").read_text() == \
             "0 0.333333 0.500000 0.166667 0.250000\n"
 
+    @pytest.mark.parametrize("labels_dir", ["missing", "a file"])
+    def test_labels_dir_that_is_not_a_directory_is_data_error(self, tmp_path, capsys, labels_dir):
+        make_manifest(tmp_path / "images.csv", [("img", 832, 416)])
+        labels = tmp_path / "labels"
+        if labels_dir == "a file":
+            labels.write_text("0 0.5 0.5 0.2 0.2\n")
+        rc = cli.main(["tile", "--manifest", str(tmp_path / "images.csv"),
+                       "--labels-dir", str(labels), "--out-dir", str(tmp_path / "tiles")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: labels directory {labels} is not a directory\n"
+        assert not (tmp_path / "tiles").exists()
+
+    def test_labels_dir_without_the_image_file_means_no_annotations(self, tmp_path, capsys):
+        (tmp_path / "labels").mkdir()
+        make_manifest(tmp_path / "images.csv", [("img", 832, 416)])
+        assert cli.main(["tile", "--manifest", str(tmp_path / "images.csv"),
+                         "--labels-dir", str(tmp_path / "labels"),
+                         "--out-dir", str(tmp_path / "tiles")]) == 0
+        assert "kept 0 of 0 annotation(s)" in capsys.readouterr().out
+        assert (tmp_path / "tiles" / "img_r0_c1.txt").read_text() == ""
+
     def test_pad_edge_vs_drop_partial(self, tmp_path):
         labels = tmp_path / "labels"
         labels.mkdir()
@@ -1985,6 +2006,16 @@ class TestUsageErrors:
         assert err.startswith("usage: vceval") and "error: " in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("metric", ["ap30_a/b", "/", "map\0"])
+    def test_metric_that_cannot_name_a_file_is_usage_error(self, tmp_path, capsys, metric):
+        argv = _tiny_study(tmp_path)["compare"]
+        argv[argv.index("--metric") + 1] = metric
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vceval")
+        assert err.endswith("error: argument --metric: must not hold / or NUL\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["tile", "--help"], ["--help"], ["--version"]])
     def test_help_and_version_exit_0(self, capsys, argv):
         assert cli.main(argv) == 0
@@ -2038,6 +2069,20 @@ class TestConfigValues:
         assert cli.main([*argv, "--config", _json_config(str(tmp_path), data)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("name", ["a/b", "a\0b"])
+    def test_class_name_that_cannot_name_a_file_is_exit_3(self, tmp_path, capsys, command,
+                                                          source, name):
+        argv = _tiny_study(tmp_path)[command]
+        if source == "config":
+            argv += ["--config", _json_config(str(tmp_path), {"class_names": ["weed", name]})]
+        else:
+            argv += ["--class-names", "weed," + name]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: class_names must be ")
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture(scope="class")

@@ -62,6 +62,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             HarnessConfig(class_names=("ok", ""))
 
+    @pytest.mark.parametrize("name", ["ap/30", "/", "a\0b"])
+    def test_class_name_that_cannot_name_a_file_is_refused(self, name):
+        # eval writes ap30_<name> rows, and compare names its files after the metric
+        with pytest.raises(ConfigError, match=r"^class_names must be .* without / or NUL, got"):
+            HarnessConfig(class_names=("weed", name))
+
     def test_anchors(self):
         with pytest.raises(ConfigError):
             HarnessConfig(anchors=DEFAULT_ANCHORS[:5])

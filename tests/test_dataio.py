@@ -542,13 +542,16 @@ class TestTextConversion:
 
     @pytest.mark.parametrize("text", [
         "0 0.5 1 1 5 5\n", "3 0.25 -0.0 1e-400 1e308 nan", "0\t1 1 1 5 5\r\n\n \n1 1 1 1 5 5\n",
-        "0\x1f1 1 1 5 5\x0b1 1 1 1 5 5\x1e",
+        "0\x1f1 1 1 5 5\x0b1 1 1 1 5 5\x1e", "0 0.5 1 1 5 5\n# comment\n",
+        "# tile_r0_c1\n0 0.912345 12.000000 40.500000 31.250000 28.000000\n"
+        "1 0.001000 0.000000 0.000000 416.000000 1.000000\n",
     ])
     def test_numpy_reads_plain_texts(self, text):
         assert len(dataio._loadtxt(text, 6)) == len(dataio._split_rows(text))
 
     @pytest.mark.parametrize("text", [
-        "", " \n\t\n", "\x1f", "0 0.5 1 1 5 5\n# comment\n", "0 0.5 1 1 5 5 #\n",
+        "", " \n\t\n", "\x1f", "0 0.5 1 1 5 5 #\n", "# tile_r0_c1\n0 0.5 1 1 5 5\n1 0.5 1 1 5 5 #\n",
+        "# tile_r0_c1\n\n  # 0 0.5 1 1 5 5\n",
         "\u0661 0.5 1 1 5 5\n", "0 0.5 1 1 5 5\n-1 0.5 1 1 5 5\n", "1_0 0.5 1 1 5 5\n",
         f"{2**63} 0.5 1 1 5 5\n", "1.0 0.5 1 1 5 5\n", "0 0.5 1 1 5\n",
     ])
