@@ -39,7 +39,7 @@ from .dataio import (
     write_detection_file,
     write_label_file,
 )
-from .errors import ConfigError, ShapeMismatch, VCEvalError
+from .errors import ConfigError, NoCriticalValue, ShapeMismatch, VCEvalError
 from .metrics import evaluate, write_metric_csv, write_pr_curve_csv
 from .netops import ANCHORS_PER_SCALE, SCALES, decode_heads, grid_shape
 from .tiler import (
@@ -445,12 +445,16 @@ def cmd_eval(args: argparse.Namespace, config: HarnessConfig) -> int:
 def cmd_compare(args: argparse.Namespace, config: HarnessConfig) -> int:
     text = _read_text(args.observations)
     with _naming(args.observations):
-        report = statsmod.compare_pipeline(
-            statsmod.load_observation_table(text, args.metric),
-            alpha=config.alpha,
-            normality_scope=config.normality_scope,
-            posthoc=config.posthoc,
-        )
+        table = statsmod.load_observation_table(text, args.metric)
+        try:
+            report = statsmod.compare_pipeline(
+                table,
+                alpha=config.alpha,
+                normality_scope=config.normality_scope,
+                posthoc=config.posthoc,
+            )
+        except NoCriticalValue as exc:
+            raise VCEvalError(f"metric {args.metric}: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     payload = statsmod.report_to_dict(report)
     payload["metric"] = args.metric

@@ -6,27 +6,41 @@ studentized range, direct numeric integration of its CDF. Target accuracy
 is 1e-6 absolute on p-values, which is far tighter than the 4-decimal
 tables the results are compared against.
 
-The studentized-range integrand needs the normal CDF on a whole matrix of
-points per evaluation. It comes from a numpy port of W. J. Cody's rational
-Chebyshev erfc (Math. Comp. 23, 1969; the algorithm behind cephes
-``ndtr``), which stays within 2e-15 relative of ``math.erfc`` wherever
-erfc exceeds 1e-300. The scalar ``normal_cdf``/``normal_sf`` keep using
-``math.erfc``. Critical values are found by Brent's bracketed root finder
-(Algorithms for Minimization without Derivatives, 1973).
+The studentized-range CDF averages the CDF of the range of k standard
+normals over a scale grid of 288 points. That unit range CDF depends on k
+alone, so it is sampled once per k: a polynomial through it at Chebyshev
+points of [0, 18] (degree 64, 128 or 256, the first within 1e-11 of the
+quadrature at the check points, else the quadrature itself). Measured on a
+dense grid, the accepted tables lie within 2e-15 of the quadrature for
+k <= 5 and within 8e-13 for k up to 300. The table is evaluated
+barycentrically at min(q u, 18): the range CDF is 1 from 18 on, and the
+clamp keeps the polynomial from extrapolating. A studentized-range
+evaluation then costs a 288-point interpolation of about 0.2 ms rather
+than a 288 x 192 quadrature of about 3 ms.
 
-Nothing here depends on a statistics runtime; the only imports are math
-and numpy.
+The quadrature needs the normal CDF on a whole matrix of points. It comes
+from a numpy port of W. J. Cody's rational Chebyshev erfc (Math. Comp. 23,
+1969; the algorithm behind cephes ``ndtr``), which stays within 2e-15
+relative of ``math.erfc`` wherever erfc exceeds 1e-300. The scalar
+``normal_cdf``/``normal_sf`` keep using ``math.erfc``. Critical values are
+found by Brent's bracketed root finder (Algorithms for Minimization without
+Derivatives, 1973).
+
+Nothing here depends on a statistics runtime; the only imports are math,
+numpy and the package's error types.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
+
+from .errors import NoCriticalValue
 
 _STD_NORMAL = NormalDist()
 _EPS = 1e-15
@@ -297,11 +311,74 @@ def _range_cdf_unit(w: np.ndarray, k: int) -> np.ndarray:
     return k * (integrand @ zw)
 
 
+# degrees tried for the table of the unit range CDF, and the largest error
+# against _range_cdf_unit that a table may have at its check points
+_RANGE_TABLE_DEGREES = (64, 128, 256)
+_RANGE_TABLE_TOL = 1e-11
+
+
+def _barycentric(w: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at each w, by the second
+    barycentric formula with the nodes' barycentric weights."""
+    diff = w[:, None] - nodes[None, :]
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    terms = weights / diff
+    out = (terms @ values) / terms.sum(axis=1)
+    rows, cols = np.nonzero(on_node)
+    out[rows] = values[cols]
+    return out
+
+
+@lru_cache(maxsize=32)
+def _range_cdf_table(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The unit range CDF of k groups as a function of an array w in
+    [0, _RANGE_SATURATES], sampled once per k.
+
+    The table is the polynomial of degree n through _range_cdf_unit at the
+    n + 1 Chebyshev points of the first kind, evaluated by the barycentric
+    formula (Berrut and Trefethen, SIAM Review 46, 2004), which stays within
+    a few ulps of the sampled values; numpy's Chebyshev series of the same
+    degree came out noisier (5e-14 against 1e-15 at k = 3). A degree is
+    accepted when the polynomial lies within _RANGE_TABLE_TOL of
+    _range_cdf_unit at the n + 2 extrema of T_(n+1), endpoints included:
+    the points where the error of such an interpolant peaks. Degree 64 passes for k <= 10, 128 for k = 20 to 100
+    and 256 for k = 300; on a dense grid over [0, 18] the accepted tables
+    lie within 2e-15 of _range_cdf_unit for k <= 5 and within 8e-13 for
+    every k tried. Where no degree passes (k = 1000), the table is
+    _range_cdf_unit itself: a polynomial that failed its check is never
+    used. The k = 3 table takes the unit CDF at 65 + 66 points, about 2 ms.
+    """
+    half = _RANGE_SATURATES / 2.0
+    for degree in _RANGE_TABLE_DEGREES:
+        theta = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+        nodes = half + half * np.cos(theta)
+        weights = np.sin(theta)
+        weights[1::2] *= -1.0
+        values = _range_cdf_unit(nodes, k)
+        for arr in (nodes, weights, values):
+            arr.setflags(write=False)
+        table = partial(_barycentric, nodes=nodes, weights=weights, values=values)
+        check = half + half * np.cos(np.pi * np.arange(degree + 2) / (degree + 1))
+        if np.max(np.abs(table(check) - _range_cdf_unit(check, k))) <= _RANGE_TABLE_TOL:
+            return table
+    return partial(_range_cdf_unit, k=k)
+
+
 def studentized_range_cdf(q: float, k: int, df: float) -> float:
     """P(Q < q) for the studentized range of k groups with df error degrees
     of freedom: the unit-scale range CDF averaged over the chi-based scale
     factor u = s/sigma, whose density is
     2 (df/2)^(df/2) / Gamma(df/2) * u^(df-1) e^(-df u^2 / 2).
+
+    The unit range CDF R(w) depends on k alone and is 1 from
+    w = _RANGE_SATURATES on, so it comes from the table that
+    _range_cdf_table samples once per k; each call evaluates that table at
+    min(q u, _RANGE_SATURATES) on the 288-point scale grid. The clamp keeps
+    the table inside the interval it was fitted on: at large df and q the
+    cut 18 / q lies below the grid's lower end, the grid runs backwards and
+    q u exceeds 18, where the polynomial would extrapolate.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -327,7 +404,8 @@ def studentized_range_cdf(q: float, k: int, df: float) -> float:
     )
     log_density = log_coeff + (df - 1.0) * np.log(u) - df * u * u / 2.0
     density = np.exp(log_density)
-    value = float(np.sum(uw * density * _range_cdf_unit(q * u, k)))
+    unit_cdf = _range_cdf_table(k)(np.minimum(q * u, _RANGE_SATURATES))
+    value = float(np.sum(uw * density * unit_cdf))
     if u_cut < u_hi:
         value += chi2_sf(df * u_cut * u_cut, df)
     return min(max(value, 0.0), 1.0)
@@ -390,10 +468,13 @@ def studentized_range_crit(alpha: float, k: int, df: float) -> float:
     method narrows it to 1e-12 in q: about ten CDF evaluations in all. The
     result is as accurate as the CDF. sf(q) matches alpha to ~1e-14, and q
     matches scipy's ppf to 1e-6 on the tested grid (k from 2 to 10, df from
-    2 to 2e5, alpha down to 0.001).
+    2 to 2e5, alpha down to 0.001). A root past q = 1e4 (e.g. alpha = 1e-9
+    at df = 2) or a root finder that does not converge raises
+    NoCriticalValue naming alpha, k and df.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    where = f"studentized range critical value at alpha={alpha:g}, k={k}, df={df:g}"
 
     def excess(q: float) -> float:
         return studentized_range_sf(q, k, df) - alpha
@@ -404,6 +485,9 @@ def studentized_range_crit(alpha: float, k: int, df: float) -> float:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > 1e4:
-            raise ArithmeticError("critical value bracket failed")
+            raise NoCriticalValue(f"no {where}: the upper tail at q = {lo:g} is still above alpha")
         f_hi = excess(hi)
-    return _brent_root(excess, lo, hi, f_lo, f_hi, xtol=1e-12)
+    try:
+        return _brent_root(excess, lo, hi, f_lo, f_hi, xtol=1e-12)
+    except ArithmeticError as exc:
+        raise NoCriticalValue(f"no {where}: {exc}") from None

@@ -119,6 +119,11 @@ class AllValuesEqual(VCEvalError):
     pass
 
 
+class NoCriticalValue(VCEvalError):
+    """No studentized-range critical value was found: no bracket up to
+    q = 1e4 holds it, or the root finder did not converge."""
+
+
 # --- configuration ----------------------------------------------------------
 
 class ConfigError(VCEvalError):

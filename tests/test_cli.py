@@ -1452,6 +1452,19 @@ class TestCompare:
         payload = json.loads((out / "comparison_map30.json").read_text())
         assert payload["alpha"] == 0.01
 
+    def test_critical_value_past_the_bracket_is_data_error(self, tmp_path, capsys):
+        # at df = 2 the upper tail at q = 8192 is still above alpha = 1e-9
+        obs = tmp_path / "obs.csv"
+        obs.write_text("metric,group,value\nm,a,0.10\nm,a,0.20\nm,b,0.30\nm,b,0.45\n")
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", "--observations", str(obs), "--metric", "m",
+                       "--out-dir", str(out), "--alpha", "1e-9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {obs}: metric m: no studentized range critical value "
+                              "at alpha=1e-09, k=2, df=2: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_non_finite_observation_is_data_error(self, tmp_path):
         obs = tmp_path / "obs.csv"

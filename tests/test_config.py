@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vceval import cli
 from vceval.config import (
     CONFIG_ENV_VAR,
     MAX_INPUT_SIZE,
@@ -67,6 +68,23 @@ class TestValidation:
         # eval writes ap30_<name> rows, and compare names its files after the metric
         with pytest.raises(ConfigError, match=r"^class_names must be .* without / or NUL, got"):
             HarnessConfig(class_names=("weed", name))
+
+    @pytest.mark.parametrize("names", [("weed", "weed"), ["weed", "crop", "weed"]])
+    def test_repeated_class_name_is_refused(self, names):
+        # eval would write two ap30_weed rows per run, which compare refuses
+        with pytest.raises(ConfigError, match=r"^class_names must be a non-empty list of distinct "):
+            HarnessConfig(class_names=names)
+
+    def test_repeated_class_name_in_a_file_or_flag_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"class_names": ["weed", "weed"]}))
+        common = ["eval", "--detections-dir", str(tmp_path / "d"), "--labels-dir",
+                  str(tmp_path / "l"), "--out-dir", str(tmp_path / "o"), "--run-id", "r1"]
+        for extra in (["--config", str(path)], ["--class-names", "weed,weed"]):
+            assert cli.main(common + extra) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: class_names must be ") and "'weed', 'weed'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_anchors(self):
         with pytest.raises(ConfigError):

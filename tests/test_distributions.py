@@ -14,7 +14,10 @@ from scipy.special import betainc as sp_betainc
 
 from vceval import distributions
 from vceval.distributions import (
+    _barycentric,
     _erfc,
+    _range_cdf_table,
+    _range_cdf_unit,
     betainc,
     chi2_sf,
     f_sf,
@@ -25,6 +28,7 @@ from vceval.distributions import (
     studentized_range_crit,
     studentized_range_sf,
 )
+from vceval.errors import NoCriticalValue, VCEvalError
 
 
 class TestNormal:
@@ -181,6 +185,21 @@ class TestStudentizedRangeCrit:
         assert 0 < len(calls) <= 20
         assert studentized_range_sf(q, 3, 12.0) == pytest.approx(0.05, abs=1e-12)
 
+    def test_critical_value_past_the_bracket_is_a_data_error(self):
+        # at df = 2 the upper tail at q = 8192 is still above alpha = 1e-9
+        with pytest.raises(NoCriticalValue, match=(
+                r"^no studentized range critical value at alpha=1e-09, k=2, df=2: "
+                r"the upper tail at q = 8192 is still above alpha$")):
+            studentized_range_crit.__wrapped__(1e-9, 2, 2.0)
+
+    def test_root_finder_that_does_not_converge_is_a_data_error(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_MAX_ITER", 1)
+        with pytest.raises(NoCriticalValue, match=(
+                r"^no studentized range critical value at alpha=0.05, k=3, df=12: "
+                r"root finder did not converge$")):
+            studentized_range_crit.__wrapped__(0.05, 3, 12.0)
+        assert issubclass(NoCriticalValue, VCEvalError)
+
     @pytest.mark.parametrize("df", [1e3, 9e4])
     def test_cdf_at_large_df_against_scipy(self, df):
         # at q = 40, 18 / q lies below where the scale density starts
@@ -188,6 +207,14 @@ class TestStudentizedRangeCrit:
             for q in (2.0, 3.5, 5.0, 40.0):
                 want = sps.studentized_range.cdf(q, k, df)
                 assert studentized_range_cdf(q, k, df) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("k", [3, 50, 300])
+    @pytest.mark.parametrize("df", [1e3, 9e4])
+    @pytest.mark.parametrize("q", [200.0, 8e3])
+    def test_cdf_far_past_the_saturation_point(self, k, df, q):
+        # the scale grid runs backwards and every q u is far above 18, where
+        # the unit range CDF is 1; a Tukey q of well-separated groups lands here
+        assert studentized_range_cdf(q, k, df) == 1.0
 
     @pytest.mark.parametrize("k,df", [(10, 2.0), (3, 12.0)])
     def test_sf_continuous_where_the_scale_grid_is_cut(self, k, df):
@@ -202,3 +229,49 @@ class TestStudentizedRangeCrit:
         qs = np.geomspace(0.5, 150.0, 60)
         values = [studentized_range_sf(q, k, df) for q in qs]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestRangeCdfTable:
+    """The unit range CDF is sampled once per k into a polynomial that the
+    studentized-range CDF evaluates instead of the quadrature."""
+
+    W = np.linspace(0.0, 18.0, 20_001)
+
+    @pytest.mark.parametrize("k,degree", [
+        (2, 64), (3, 64), (5, 64), (10, 64), (50, 128), (100, 128), (300, 256),
+    ])
+    def test_table_matches_the_quadrature(self, k, degree):
+        table = _range_cdf_table(k)
+        assert table.func is _barycentric and len(table.keywords["nodes"]) == degree + 1
+        assert np.max(np.abs(table(self.W) - _range_cdf_unit(self.W, k))) <= 1e-11
+
+    def test_k_without_a_passing_degree_uses_the_quadrature(self):
+        table = _range_cdf_table(1000)
+        assert table.func is _range_cdf_unit
+        assert np.array_equal(table(self.W), _range_cdf_unit(self.W, 1000))
+
+    def test_table_at_a_node_is_the_sampled_value(self):
+        keywords = _range_cdf_table(3).keywords
+        nodes, values = keywords["nodes"], keywords["values"]
+        got = _range_cdf_table(3)(nodes[[0, 7, 64]])
+        assert np.array_equal(got, values[[0, 7, 64]])
+
+    def test_cold_crit_and_tukey_rows_sample_the_unit_cdf_once(self, monkeypatch):
+        # the quadrature alone took 12 calls x 288 scale points = 3,456 w values
+        unit, sampled = _range_cdf_unit, []
+
+        def counting_unit(w, k):
+            sampled.append(len(w))
+            return unit(w, k)
+
+        monkeypatch.setattr(distributions, "_range_cdf_unit", counting_unit)
+        _range_cdf_table.cache_clear()
+        studentized_range_crit.cache_clear()
+        try:
+            studentized_range_crit(0.05, 3, 12.0)
+            for q in (1.0, 2.5, 4.0):
+                studentized_range_sf(q, 3, 12.0)
+        finally:
+            _range_cdf_table.cache_clear()
+            studentized_range_crit.cache_clear()
+        assert 0 < sum(sampled) <= 300

@@ -8,8 +8,9 @@ the sha256 of the sorted ``<relative path> <sha256 of the file>`` lines of
 every file of that kind. ``report`` runs inside the output directory with a
 relative observation path, because ``report.txt`` quotes that path. The
 seed-1 detection and evaluation digests were taken before evaluation became
-columnar, the seed-2 ones before decode did, the tile, comparison and
-report digests before the input rules were merged, the dense-lowscore
+columnar, the seed-2 ones before decode did, the tile, comparison CSV and
+report digests before the input rules were merged, the comparison JSON
+digests after the unit range CDF became one table per k, the dense-lowscore
 seed-3 ones before NMS searched only pairs that can reach the threshold,
 and the study-3x5 seed-3 and straddle-frame ones before tiling became
 columnar; CHANGES.md says how. The benchmark generator never puts a tile
@@ -52,7 +53,7 @@ EXPECTED = {
         "observations.csv": "90d1739d05f72c0f7413dc5939ac3757784ac2bcdb6d496af829efbb2f549006",
         "tile .txt": "4b8e609a141d71b91f204764c700f4179c1d2d24340a199c50b6cda10c2d04eb",
         "tiles.csv": "a2a583dd1531cc1cfbbb141e34f27b82b5a8ecc2f2d4dbfe66bd60b1f3051f58",
-        "comparison_*.json": "cc88d419b3f138a465a20af7712d254fcd1df2b08e4dba62da9eb40d9d94acb8",
+        "comparison_*.json": "706de20deae8f086ef9dde81a33c7f02fdcc8a8b31fa26f0dc981ab328ea286b",
         "comparison_*.csv": "14b49782c97c40b58fc90ccb47d8a9c84482b2ed1b2d064be90433e089e9011f",
         "report.txt": "b32be4bddea92b70bd3fb63497dcf93caec4bd215d7b187d128537253c542721",
     },
@@ -63,7 +64,7 @@ EXPECTED = {
         "observations.csv": "76a2251f24bb8878eaf2ce7d606f034657757bada228c107508d5073b8ffb5b4",
         "tile .txt": "1c033c981c07860478331bd31bc85b4f1f905a2ba8780ce58d7d58839749ca5b",
         "tiles.csv": "a2a583dd1531cc1cfbbb141e34f27b82b5a8ecc2f2d4dbfe66bd60b1f3051f58",
-        "comparison_*.json": "2cb562c8127742d67c423e7f7d0248ebc69083dfd90597501cab88444a8226ef",
+        "comparison_*.json": "76ecf0933d006835e97e5c8bf48df155c1b84f4e348d4f080b8625b44157494e",
         "comparison_*.csv": "fa6071b3c25af4ae245c01f2c96fea1e3033925bea8a33655c8243f91b629a69",
         "report.txt": "49f336395ad9c46fb98d2589e6c0d0e660f855884226a4b0711f0abca2125c77",
     },
@@ -74,7 +75,7 @@ EXPECTED = {
         "observations.csv": "4833dead752a752f012dd8237a92429f4c9cfef360f9bf17ea389dc27385c8dd",
         "tile .txt": "94819abbb2c90ad4b4aca83f516b36ed7a8d8aaf2b28ae25b6dd731eb7b670c3",
         "tiles.csv": "a2a583dd1531cc1cfbbb141e34f27b82b5a8ecc2f2d4dbfe66bd60b1f3051f58",
-        "comparison_*.json": "1b6c3615363c6e69370de2115dfaedbbfea314f91ec754a49e5ff181f38ca754",
+        "comparison_*.json": "ba43bd257420332887547c239629babaa5e89f7e0652856451e539605ecf057b",
         "comparison_*.csv": "9e636445bed93b921102773a062efa0f56ef5ed5a82af297c38678bb1f3a2418",
         "report.txt": "ea022587d6e34c9cf1ba07920d77aa2a4705f11803a79523dd825e4346bdccb9",
     },
@@ -85,7 +86,7 @@ EXPECTED = {
         "observations.csv": "e02d1693de7ad2fc4b3664b78c992902079b733697f53fb1f30fd61147677fa7",
         "tile .txt": "5f2728053ae84f8148af4ecf79c0872bf213d7bccc0abad4bc286e98e862f7df",
         "tiles.csv": "9dea901132d772bb24dd51d37443b615efe20903cdf1acf8f5f7d18ccd5ebb68",
-        "comparison_*.json": "fec337d1cd29aff4acdcb3749e752ff325a6e45eedb21d9bbcd471a0816f75b1",
+        "comparison_*.json": "ad0e28870641fd543ad5ca879bd56c77c9e2ec803f4f6f53ffbed4bf177cfe29",
         "comparison_*.csv": "07c44a133b55ebb88b26ffe895298a7bc5c41172929a342ff7751b0ef841dce1",
         "report.txt": "55633b076dc49493f15b430dba7e21a661ba965b65fe420cb5ea4854ec5344eb",
     },
@@ -96,7 +97,7 @@ EXPECTED = {
         "observations.csv": "56a36e942372f14db393b353dc76e793403dd52e86029ef76d6a63b2e975e7a5",
         "tile .txt": "79c379eeaf30477dab658aa8be8fb93d0d5706791cc35460518daf9242adfea4",
         "tiles.csv": "9dea901132d772bb24dd51d37443b615efe20903cdf1acf8f5f7d18ccd5ebb68",
-        "comparison_*.json": "039f29c7c0e245107f1f2d31d76cca3805fd63998191cd44c142c536f658dc5d",
+        "comparison_*.json": "82ce3da8f60eae34c2ca11aa1b20207f37f5a0f3db78c5c9c32e18d02d3ced11",
         "comparison_*.csv": "c04a21e9f79dbdaa8df62bdc0b49de9673aac1d79169de1441ce14330a7face1",
         "report.txt": "92f461785e2efda532626fafe5e0d830c11f0529e21a840147f6ea96465cc936",
     },
@@ -107,7 +108,7 @@ EXPECTED = {
         "observations.csv": "4c17abebf90ee1463f55eff54f11bd0175b3d9fc20d016f3118877f3234d8c7f",
         "tile .txt": "b5a9cd1c822b00d624c00d6e5d979a8a09f83bb5de4c97bd61c4a4e8daaad657",
         "tiles.csv": "9dea901132d772bb24dd51d37443b615efe20903cdf1acf8f5f7d18ccd5ebb68",
-        "comparison_*.json": "6798ee04ca65321dc006e166f32202e74d2abfd532354f9201c590454e784d1f",
+        "comparison_*.json": "680fb2f1e567cf71b82be6d2608a20eb97e53ae3bb4a75c8755cb04502e0f05d",
         "comparison_*.csv": "12c98f593314039edbd26492e35db4968ee9e2c0f0336bd9d148c1d5a05ded2f",
         "report.txt": "7a9cd6103676ec9ba1c54c59778bebf4361e8a30d40a8dc18e126aef65328591",
     },
